@@ -38,8 +38,12 @@ class Probe:
     of it cancels most of that drift, so runs made minutes apart agree.
     The probe mixes what the engine spends its time on: a recurrent scan
     of small matrix products in float64 and float32, an FFT, an attention
-    einsum and plain interpreter work.  It never calls the program, so a
-    change to the program cannot move it.
+    einsum and plain interpreter work.  It never calls the program, but
+    it runs in the program's process right after each unit, on the same
+    cores, caches and heap: calibration assumes the program does not
+    change the probe's speed.  The run's median probe time and every
+    uncalibrated value are printed beside the result, so a change that
+    slows the probe shows there.
     """
 
     def __init__(self) -> None:
@@ -93,18 +97,21 @@ def calibrated(raw_ms: Sequence[float], probe_ms: Sequence[float]) -> List[float
 class Outcome:
     """What one workload run measured and checked.
 
-    ``e2e`` holds the generic end-to-end metrics of ``BENCHMARK.json``;
-    ``named`` holds the same figures under the workload's own names as
+    ``e2e`` holds the generic end-to-end metrics of ``BENCHMARK.json``
+    and ``raw`` the same metrics uncalibrated; ``probe_ms`` is the run's
+    median probe time (0 when the workload is not calibrated); ``named``
+    holds the same figures under the workload's own names as
     ``(value, unit, samples, uncalibrated value)`` for the human-readable
-    report; ``layers``
-    holds the per-layer metrics of a traced run as ``(value, unit)`` and
-    ``bases`` the counts behind each of its ratios.
+    report; ``layers`` holds the per-layer metrics of a traced run as
+    ``(value, unit)`` and ``bases`` the counts behind each of its ratios.
     """
 
     attempted: int = 0
     failed: int = 0
     errors: List[str] = field(default_factory=list)
     e2e: Dict[str, float] = field(default_factory=dict)
+    raw: Dict[str, float] = field(default_factory=dict)
+    probe_ms: float = 0.0
     named: Dict[str, Tuple[float, str, int, float]] = field(default_factory=dict)
     layers: Dict[str, Tuple[float, str]] = field(default_factory=dict)
     bases: Dict[str, str] = field(default_factory=dict)
@@ -123,13 +130,17 @@ class Outcome:
         p50, tail = percentile(cal, 50), percentile(cal, TAIL)
         self.e2e["latency_p50_ms"] = p50
         self.e2e["latency_tail_ms"] = tail
-        self.named[f"{prefix}_p50"] = (p50, "ms", n, percentile(raw_ms, 50))
-        self.named[f"{prefix}_p{TAIL}"] = (tail, "ms", n, percentile(raw_ms, TAIL))
-        self.named["host_slowdown"] = (percentile(probe_ms, 50) / PROBE_REF_MS, "ratio", n, percentile(probe_ms, 50) / PROBE_REF_MS)
+        self.raw["latency_p50_ms"] = percentile(raw_ms, 50)
+        self.raw["latency_tail_ms"] = percentile(raw_ms, TAIL)
+        self.probe_ms = percentile(probe_ms, 50)
+        self.named[f"{prefix}_p50"] = (p50, "ms", n, self.raw["latency_p50_ms"])
+        self.named[f"{prefix}_p{TAIL}"] = (tail, "ms", n, self.raw["latency_tail_ms"])
+        self.named["host_slowdown"] = (self.probe_ms / PROBE_REF_MS, "ratio", n, self.probe_ms / PROBE_REF_MS)
         return p50
 
     def throughput(self, name: str, count: int, raw_ms: Sequence[float], probe_ms: Sequence[float]) -> None:
         """``count`` items over the calibrated time of the units that made them."""
         rate = 1e3 * count / sum(calibrated(raw_ms, probe_ms))
         self.e2e["throughput_per_s"] = rate
-        self.named[name] = (rate, "1/s", len(raw_ms), 1e3 * count / sum(raw_ms))
+        self.raw["throughput_per_s"] = 1e3 * count / sum(raw_ms)
+        self.named[name] = (rate, "1/s", len(raw_ms), self.raw["throughput_per_s"])

@@ -77,7 +77,7 @@ class ForecastSetup:
         pass
 
 
-def measure(setup: ForecastSetup, seconds: float, tracer, outcome: Outcome, inject: str) -> float:
+def measure(setup: ForecastSetup, seconds: float, tracer, outcome: Outcome) -> float:
     """Forecast batches for ``seconds``; returns the median batch time in ms."""
     if tracer.enabled:
         instrument_conformer(setup.model, tracer)
@@ -110,8 +110,6 @@ def measure(setup: ForecastSetup, seconds: float, tracer, outcome: Outcome, inje
     if sampled is None:  # a run too short to reach the sampled batch
         sampled = (batch, forecast)
     batch, forecast = sampled
-    if inject == "perturbed_forecast":
-        forecast = forecast + 1e-2
     outcome.attempted += 1
     diff = float(np.max(np.abs(forecast - setup.reference(batch))))
     if not diff <= F32_ATOL:

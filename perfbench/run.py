@@ -11,7 +11,9 @@ tracing overhead between the two, and writes every span to
 ``.perfbench_out/trace-<workload>-seed<seed>.json``.
 
 The last line of standard output is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``.  The exit code is
+``correct``, ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0``
+the line before it is a JSON object with every end-to-end metric
+uncalibrated and the run's median probe time.  The exit code is
 1 when any correctness check failed, 0 otherwise.  See
 ``perfbench/README.md`` for the metrics and workloads.
 """
@@ -35,11 +37,9 @@ WORKLOADS = {
     "serve": ("perfbench.serve", "ServeSetup"),
 }
 #: set-ups per run, each in a fresh process; ``setup_s`` is their median
-SETUP_REPEATS = 5
+SETUP_REPEATS = 11
 #: probe runs that calibrate one set-up
 SETUP_PROBES = 21
-#: seeded wrong outputs the self-test uses to prove the checks fire
-INJECTIONS = ("none", "nan_loss", "perturbed_forecast", "stale_forecast")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -48,7 +48,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--inject", choices=INJECTIONS, default="none", help=argparse.SUPPRESS)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seconds <= 0:
@@ -89,9 +88,9 @@ def main(argv=None) -> int:
     try:
         if args.trace:
             untraced = Outcome()
-            plain = module.measure(setup, args.seconds / 2, OFF, untraced, args.inject)
+            plain = module.measure(setup, args.seconds / 2, OFF, untraced)
             tracer = Tracer()
-            traced = module.measure(setup, args.seconds / 2, tracer, outcome, args.inject)
+            traced = module.measure(setup, args.seconds / 2, tracer, outcome)
             outcome.attempted += untraced.attempted
             outcome.failed += untraced.failed
             outcome.errors += untraced.errors
@@ -99,7 +98,7 @@ def main(argv=None) -> int:
             outcome.layers["trace.overhead_share"] = (overhead, "ratio")
             outcome.bases["trace.overhead_share"] = f"traced {traced:.4f} ms / untraced {plain:.4f} ms - 1"
         else:
-            module.measure(setup, args.seconds, OFF, outcome, args.inject)
+            module.measure(setup, args.seconds, OFF, outcome)
     finally:
         setup.close()
 
@@ -143,6 +142,10 @@ def main(argv=None) -> int:
     for message in outcome.errors:
         print(f"FAILED: {message}")
     correct = outcome.failed == 0
+    if not args.trace:
+        # what the calibration divided out, for comparing two trees' runs
+        uncalibrated = {"setup_s": setup_raw_s, "peak_rss_mb": metrics["peak_rss_mb"][0], **outcome.raw}
+        print(json.dumps({"uncalibrated": uncalibrated, "probe_ms_p50": outcome.probe_ms, "probe_ref_ms": PROBE_REF_MS}))
     print(
         json.dumps(
             {

@@ -208,21 +208,15 @@ class Rung:
         return percentile(self.latencies_ms(), 99) <= SLO_MS and self.backlog_end <= BACKLOG_LIMIT
 
 
-def verify(setup: ServeSetup, rung: Rung, rng, outcome: Outcome, inject: str) -> int:
-    """Check a sampled share of ok responses bit for bit; returns how many."""
-    ok = rung.ok_reads()
-    if not ok:
-        return 0
-    sample = sorted(rng.choice(ok, size=max(1, int(len(ok) * VERIFY_SHARE)), replace=False))
-    wanted = sorted({(rung.read_series[i], n) for i in sample for n in range(rung.submit_len[i], rung.done_len[i] + 1)})
-    if inject == "stale_forecast":
-        wanted += [(rung.read_series[i], rung.submit_len[i] - 1) for i in sample]
-    expected = {}
+def reference_forecasts(setup: ServeSetup, keys) -> dict:
+    """Direct ``forecast_batch(..., pad_to=max_batch)`` forecasts of each
+    ``(series, history length)`` in ``keys``, keyed by it."""
     spec = setup.spec
-    for start in range(0, len(wanted), MAX_BATCH):
-        keys = wanted[start : start + MAX_BATCH]
+    expected = {}
+    for start in range(0, len(keys), MAX_BATCH):
+        chunk = keys[start : start + MAX_BATCH]
         windows = []
-        for sid, length in keys:
+        for sid, length in chunk:
             store = SeriesStore(n_dims=setup.n_dims)
             store.ingest(sid, setup.points[sid][:length])
             windows.append(store.window(sid, spec.input_len, spec.label_len, spec.pred_len))
@@ -230,12 +224,20 @@ def verify(setup: ServeSetup, rung: Rung, rng, outcome: Outcome, inject: str) ->
             *(np.stack([getattr(w, name) for w in windows]) for name in ("x_enc", "x_mark", "x_dec", "y_mark")),
             pad_to=MAX_BATCH,
         )
-        expected.update(zip(keys, rows))
+        expected.update(zip(chunk, rows))
+    return expected
+
+
+def verify(setup: ServeSetup, rung: Rung, rng, outcome: Outcome) -> int:
+    """Check a sampled share of ok responses bit for bit; returns how many."""
+    ok = rung.ok_reads()
+    if not ok:
+        return 0
+    sample = sorted(rng.choice(ok, size=max(1, int(len(ok) * VERIFY_SHARE)), replace=False))
+    wanted = sorted({(rung.read_series[i], n) for i in sample for n in range(rung.submit_len[i], rung.done_len[i] + 1)})
+    expected = reference_forecasts(setup, wanted)
     for i in sample:
         sid, got = rung.read_series[i], rung.responses[i].forecast
-        if inject == "stale_forecast":
-            # a seeded wrong output: the forecast of the history one write earlier
-            got = expected[(sid, rung.submit_len[i] - 1)][: len(got)]
         outcome.attempted += 1
         if not any(
             np.array_equal(got, expected[(sid, n)][: len(got)])
@@ -292,7 +294,7 @@ def queue_wait_recorder(take, clock, tracer):
     return traced_take
 
 
-def measure(setup: ServeSetup, seconds: float, tracer, outcome: Outcome, inject: str) -> float:
+def measure(setup: ServeSetup, seconds: float, tracer, outcome: Outcome) -> float:
     """Replay the ladder within ``seconds``; returns the nominal p50 in ms."""
     per_read = sum(1.0 / rate for rate in RATES) / (1.0 - WARM_SHARE)
     n_reads = max(40, int(seconds * SCHEDULE_SHARE / per_read))
@@ -335,7 +337,7 @@ def measure(setup: ServeSetup, seconds: float, tracer, outcome: Outcome, inject:
             response = rung.responses[i]
             if not response.ok:
                 outcome.fail(f"read of {response.series_id} at {rate:g} req/s: {response.status} {response.error}")
-        verify(setup, rung, rng, outcome, inject)
+        verify(setup, rung, rng, outcome)
     nominal = rungs[NOMINAL]
     passing = [rung for rung in rungs if rung.passes()]
     max_rps = max((rung.goodput() for rung in passing), default=0.0)
@@ -343,6 +345,7 @@ def measure(setup: ServeSetup, seconds: float, tracer, outcome: Outcome, inject:
     p50 = percentile(latencies, 50)
     p99 = percentile(latencies, 99)
     outcome.e2e.update(throughput_per_s=max_rps, latency_p50_ms=p50, latency_tail_ms=p99)
+    outcome.raw.update(outcome.e2e)
     # concurrent reads cannot be paired with probe times: serve is uncalibrated
     named = {
         "serve_p50_ms": (p50, "ms", len(latencies)),

@@ -132,7 +132,7 @@ def compare_gradients(fused, oracle, outcome: Outcome) -> None:
         outcome.fail(f"first-step gradients differ from the unfused oracle (relative {worst:.3g})")
 
 
-def measure(setup: TrainSetup, seconds: float, tracer, outcome: Outcome, inject: str) -> float:
+def measure(setup: TrainSetup, seconds: float, tracer, outcome: Outcome) -> float:
     """Run steps for ``seconds``; returns the median step time in ms."""
     model, optimizer = setup.model, setup.optimizer
     first = setup.next_batch()
@@ -160,8 +160,6 @@ def measure(setup: TrainSetup, seconds: float, tracer, outcome: Outcome, inject:
         n_windows += len(batch[0])
         batch, grads_out = None, None
         outcome.attempted += 1
-        if inject == "nan_loss" and len(step_ms) == 3:
-            loss = float("nan")
         if not math.isfinite(loss):
             outcome.fail(f"step {len(step_ms)}: loss is {loss}")
         if len(step_ms) % SAVE_EVERY == 0:
