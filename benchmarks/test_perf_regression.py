@@ -75,15 +75,15 @@ def test_inference_fast_path_speedup():
 @pytest.mark.perf
 @pytest.mark.profile
 def test_op_profiler_overhead_when_disabled():
-    """An uninstalled op hook must not slow the training step.
+    """An empty observer slot must not slow the training step.
 
-    Mirrors the sanitizer-off guard: ``Tensor._make`` pays one identity
-    check for the ``_OP_HOOK`` slot, so a run that never enters
-    ``op_profile()`` must stay within noise of the pre-profiler engine.
-    Measured as a self-relative bound: two interleaved timing arms of the
-    same workload, neither profiled, must agree — with the hook slot
-    confirmed empty throughout — while a *profiled* arm is allowed (and
-    expected) to cost more.
+    Mirrors the sanitizer-off guard: ``Tensor._make`` and the backward
+    loop each pay one emptiness test of the single observer slot, so a
+    run that never enters ``op_profile()`` must stay within noise of the
+    pre-profiler engine.  Measured as a self-relative bound: two
+    interleaved timing arms of the same workload, neither profiled, must
+    agree — with the observer slot confirmed empty throughout — while a
+    *profiled* arm is allowed (and expected) to cost more.
     """
     from time import perf_counter
 
@@ -106,10 +106,10 @@ def test_op_profiler_overhead_when_disabled():
             step()
         return perf_counter() - start
 
-    assert tensor_mod._OP_HOOK is None
+    assert tensor_mod.observers() == ()
     timed(10)  # warmup
     arm_a, arm_b = timed(), timed()
-    assert tensor_mod._OP_HOOK is None
+    assert tensor_mod.observers() == ()
     # both arms ran the identical disabled-mode code path; agreement
     # within 2x bounds scheduler noise without a flaky absolute threshold
     ratio = max(arm_a, arm_b) / min(arm_a, arm_b)
@@ -118,8 +118,8 @@ def test_op_profiler_overhead_when_disabled():
     with op_profile() as prof:
         profiled = timed()
     assert prof.total_calls > 0
-    # sanity: the profiled arm records, and the hook is gone afterwards
-    assert tensor_mod._OP_HOOK is None
+    # sanity: the profiled arm records, and the slot is empty afterwards
+    assert tensor_mod.observers() == ()
     assert profiled > 0.0
 
 
@@ -128,13 +128,13 @@ def test_op_profiler_overhead_when_disabled():
 def test_alias_checks_overhead_when_disabled():
     """An uninstalled ownership sanitizer must not slow the fast path.
 
-    The alias guard touches three hook slots — the arena's, the plan
-    cache's, and the engine sanitizer slot — and each is a single
-    ``is not None`` test when empty.  Same self-relative methodology as
+    The alias guard is an engine observer: the arena, the plan cache and
+    ``Tensor._make`` each pay one emptiness test of the single observer
+    slot when nothing is installed.  Same self-relative methodology as
     the profiler guard: two interleaved timing arms of an inference
     workload that exercises arena checkouts, plan-cache lookups, *and*
-    per-op engine dispatch must agree, with all three slots confirmed
-    empty throughout.
+    per-op engine dispatch must agree, with the slot confirmed empty
+    throughout.
     """
     from time import perf_counter
 
@@ -160,14 +160,10 @@ def test_alias_checks_overhead_when_disabled():
             step()
         return perf_counter() - start
 
-    assert arena._alias_hook is None
-    assert cache._alias_hook is None
-    assert tensor_mod.get_sanitizer() is None
+    assert tensor_mod.observers() == ()
     timed(10)  # warmup
     arm_a, arm_b = timed(), timed()
-    assert arena._alias_hook is None
-    assert cache._alias_hook is None
-    assert tensor_mod.get_sanitizer() is None
+    assert tensor_mod.observers() == ()
     arena.clear()
     # both arms ran the identical disabled-mode code path; agreement
     # within 2x bounds scheduler noise without a flaky absolute threshold

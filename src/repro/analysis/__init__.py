@@ -18,8 +18,8 @@ Five layers, one goal (trustworthy runs):
   interpreter verifying declared ``@shape_contract`` decorators on every
   model forward across geometries and both dtype modes *before* any real
   batch runs.  Run it via ``python -m repro.cli check``.
-- **Sanitizer** (:mod:`~repro.analysis.sanitizer`) — a debug mode that
-  hooks every tape-node creation and gradient accumulation to catch
+- **Sanitizer** (:mod:`~repro.analysis.sanitizer`) — a debug-mode engine
+  observer that checks every op output and gradient accumulation to catch
   NaN/Inf, dtype drift, and double-broadcast surprises at the op that
   caused them, mirrored into :mod:`repro.obs` anomaly events.  Enable
   with :func:`sanitize` or ``repro.cli run --sanitize``; zero overhead

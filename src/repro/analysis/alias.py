@@ -27,11 +27,11 @@ the slot.  This module makes those contracts checkable at runtime:
   recycled; the guard flags the capture at the op that did it.
 
 Install with :func:`alias_guard` (or ``sanitize(alias=True)``, or
-``repro.cli run --sanitize-alias``).  The guard layers over whatever
-numeric sanitizer is active — it delegates every engine callback inward,
-so NaN/dtype/broadcast checks keep running.  When nothing is installed
-the arena/cache/engine each pay exactly one ``is not None`` test; the
-hot path stays allocation- and branch-free.
+``repro.cli run --sanitize-alias``).  The guard is an engine observer
+(:class:`repro.tensor.tensor.Observer`) and composes with any numeric
+sanitizer or profiler installed alongside it.  When no observer is
+installed the arena/cache/engine each pay one emptiness test; the hot
+path stays allocation- and branch-free.
 
 Findings carry lint-style rule ids (``alias-use-after-release``,
 ``alias-plan-write``, ``alias-arena-taped``) and are mirrored into
@@ -50,8 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.tensor import tensor as _engine
-from repro.tensor.arena import get_arena
-from repro.tensor.cache import iter_plan_arrays, plan_cache
+from repro.tensor.cache import iter_plan_arrays
 
 #: rule ids, in the lint Finding vocabulary (docs/static-analysis.md)
 RULE_USE_AFTER_RELEASE = "alias-use-after-release"
@@ -86,14 +85,11 @@ class AliasError(RuntimeError):
         self.finding = finding
 
 
-class AliasSanitizer:
+class AliasSanitizer(_engine.Observer):
     """Tracks arena checkouts and plan-cache fingerprints, reporting misuse.
 
-    Implements the engine-sanitizer protocol (``check_forward`` /
-    ``check_grad`` / ``check_sequence`` / ``current_producer``) so it can
-    occupy the single engine slot while *delegating* every callback to
-    ``inner`` — the numeric :class:`~repro.analysis.sanitizer.TensorSanitizer`
-    that was installed before it, if any.
+    Observes op outputs and gradients (stale or tape-pinned arena
+    buffers), arena checkouts and releases, and plan-cache traffic.
 
     Parameters
     ----------
@@ -103,9 +99,6 @@ class AliasSanitizer:
     raise_on_error:
         Strict mode — raise :class:`AliasError` at the first finding
         (default).  When False, findings accumulate up to ``max_findings``.
-    inner:
-        The engine sanitizer to delegate to (usually whatever
-        ``set_sanitizer`` held before the guard was installed).
     poison:
         Fill released float buffers with NaN (default).  Disable only for
         tests that inspect released contents.
@@ -115,19 +108,16 @@ class AliasSanitizer:
         self,
         logger=None,
         raise_on_error: bool = True,
-        inner=None,
         poison: bool = True,
         max_findings: int = 100,
         stack_limit: int = 12,
     ) -> None:
         self.logger = logger
         self.raise_on_error = raise_on_error
-        self.inner = inner
         self.poison = poison
         self.max_findings = max_findings
         self.stack_limit = stack_limit
         self.findings: List[AliasFinding] = []
-        self.current_producer: Optional[str] = None
         #: per-slot checkout generation (monotonic per arena key)
         self._generations: Dict[tuple, int] = {}
         #: id(buffer) -> (key, generation) for live checkouts
@@ -140,7 +130,7 @@ class AliasSanitizer:
         self.checked_ops = 0
 
     # ------------------------------------------------------------------
-    # arena hooks (called by BufferArena when installed)
+    # arena events
     # ------------------------------------------------------------------
     def on_arena_checkout(self, key: tuple, buf: np.ndarray) -> None:
         generation = self._generations.get(key, 0) + 1
@@ -156,7 +146,7 @@ class AliasSanitizer:
             buf.fill(POISON)
 
     # ------------------------------------------------------------------
-    # plan-cache hooks (called by PlanCache when installed)
+    # plan-cache events
     # ------------------------------------------------------------------
     @staticmethod
     def _fingerprint(value) -> Tuple[Tuple[int, int, bool], ...]:
@@ -193,7 +183,7 @@ class AliasSanitizer:
             if old[:2] != new[:2]:
                 self._record(
                     RULE_PLAN_WRITE,
-                    self.current_producer or "plan_cache",
+                    "plan_cache",
                     f"cached plan {key!r} (array #{index}) was mutated in place "
                     f"— detected {when}; every consumer of this key now reads "
                     "corrupt data",
@@ -203,7 +193,7 @@ class AliasSanitizer:
             elif old[2] != new[2]:
                 self._record(
                     RULE_PLAN_WRITE,
-                    self.current_producer or "plan_cache",
+                    "plan_cache",
                     f"cached plan {key!r} (array #{index}) had its read-only "
                     f"flag re-armed (writeable={new[2]}) — detected {when}",
                     {"plan_key": repr(key), "array_index": index,
@@ -213,26 +203,17 @@ class AliasSanitizer:
         self._plans[key] = (value, actual)
 
     # ------------------------------------------------------------------
-    # engine-sanitizer protocol (occupies the set_sanitizer slot)
+    # op and gradient events
     # ------------------------------------------------------------------
-    def check_forward(self, op: str, data: np.ndarray, parents: Tuple) -> None:
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple, out) -> None:
         self.checked_ops += 1
-        taped = _engine._GRAD_ENABLED and any(p.requires_grad for p in parents)
+        taped = out.requires_grad
         self._check_array(op, data, role="output", taped=taped)
         for parent in parents:
             self._check_array(op, parent.data, role="input", taped=taped)
-        if self.inner is not None:
-            self.inner.check_forward(op, data, parents)
 
-    def check_grad(self, op: str, grad: np.ndarray) -> None:
-        self._check_array(op, np.asarray(grad), role="gradient", taped=False)
-        if self.inner is not None:
-            self.inner.current_producer = self.current_producer
-            self.inner.check_grad(op, grad)
-
-    def check_sequence(self, op: str, data: np.ndarray, time_axis: int = 1) -> None:
-        if self.inner is not None:
-            self.inner.check_sequence(op, data, time_axis=time_axis)
+    def on_grad(self, op: str, grad: np.ndarray, producer: Optional[str]) -> None:
+        self._check_array(op, grad, role="gradient", taped=False)
 
     # ------------------------------------------------------------------
     # internals
@@ -317,40 +298,18 @@ class AliasSanitizer:
 
 
 @contextlib.contextmanager
-def alias_guard(
-    logger=None,
-    raise_on_error: bool = True,
-    arena=None,
-    cache=None,
-    **kwargs,
-):
+def alias_guard(logger=None, raise_on_error: bool = True, **kwargs):
     """Install an :class:`AliasSanitizer` for the duration of the block.
 
-    Hooks the process arena, the plan cache, and the engine sanitizer
-    slot (layering over — and delegating to — any numeric sanitizer that
-    is already installed), and restores all three on exit.  A final
-    plan-cache fingerprint sweep runs on clean exit, so a mutation after
-    the last cache access is still reported::
+    The guard observes every arena and plan cache and every engine op
+    while installed.  A final plan-cache fingerprint sweep runs on clean
+    exit, so a mutation after the last cache access is still reported::
 
         with alias_guard() as guard:
             model.predict_with_uncertainty(...)   # raises AliasError on misuse
         assert not guard.findings
     """
-    arena = arena if arena is not None else get_arena()
-    cache = cache if cache is not None else plan_cache()
-    guard = AliasSanitizer(
-        logger=logger,
-        raise_on_error=raise_on_error,
-        inner=_engine.get_sanitizer(),
-        **kwargs,
-    )
-    prev_arena = arena.set_alias_hook(guard)
-    prev_cache = cache.set_alias_hook(guard)
-    _engine.set_sanitizer(guard)
-    try:
+    guard = AliasSanitizer(logger=logger, raise_on_error=raise_on_error, **kwargs)
+    with _engine.observe(guard):
         yield guard
-    finally:
-        _engine.set_sanitizer(guard.inner)
-        arena.set_alias_hook(prev_arena)
-        cache.set_alias_hook(prev_cache)
     guard.verify_plans()

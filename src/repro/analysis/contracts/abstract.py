@@ -21,7 +21,7 @@ While a :class:`Trace` is active, three seams are instrumented:
   verifies any declared ``@shape_contract`` on the module's forward, and
   converts the first raising op into a finding that names the module and
   the symbolic operand shapes;
-- the engine's sanitizer hook (``Tensor._make``) gets a shim that applies
+- an engine observer (``on_op`` events from ``Tensor._make``) applies
   the runtime :class:`~repro.analysis.sanitizer.TensorSanitizer`'s exact
   dtype-drift and double-broadcast checks — *before* ``Tensor.__init__``
   silently casts the op output back to the engine dtype — and reports
@@ -51,7 +51,7 @@ from repro.analysis.contracts.symbolic import (
 )
 from repro.analysis.sanitizer import _ELEMENTWISE_BINARY
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, ensure_tensor
+from repro.tensor.tensor import Observer, Tensor, ensure_tensor, observe
 
 __all__ = ["AbstractTensor", "ContractTraceError", "Trace", "trace_module"]
 
@@ -300,8 +300,8 @@ def _getitem_sym(sym_shape, index, out_shape) -> Optional[Tuple]:
 # ----------------------------------------------------------------------
 # sanitizer shim — the runtime checks, statically attributed
 # ----------------------------------------------------------------------
-class _SanitizerShim:
-    """Engine sanitizer hook that routes findings into the active trace.
+class _SanitizerShim(Observer):
+    """Engine observer that routes sanitizer findings into the active trace.
 
     Mirrors :class:`repro.analysis.sanitizer.TensorSanitizer`'s dtype and
     double-broadcast checks (same conditions, same finding kinds) but
@@ -312,7 +312,7 @@ class _SanitizerShim:
     def __init__(self, trace: "Trace") -> None:
         self.trace = trace
 
-    def check_forward(self, op: str, data: np.ndarray, parents: Tuple) -> None:
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple, out) -> None:
         trace = self.trace
         if (
             trace.expected_dtype is not None
@@ -329,12 +329,6 @@ class _SanitizerShim:
             and data.shape != parents[1].data.shape
         ):
             trace.record_broadcast_surprise(op, parents, data.shape)
-
-    def check_grad(self, op: str, grad: np.ndarray) -> None:
-        pass
-
-    def check_sequence(self, op: str, data: np.ndarray, time_axis: int = 1) -> None:
-        pass
 
 
 # ----------------------------------------------------------------------
@@ -558,19 +552,16 @@ class Trace:
         if _ACTIVE is not None:
             raise RuntimeError("contract traces do not nest")
         from repro.nn.module import Module
-        from repro.tensor.tensor import set_sanitizer
 
         original_call = Module.__call__
-        previous_sanitizer = set_sanitizer(_SanitizerShim(self))
         Module.__call__ = _traced_module_call
         _ACTIVE = self
         try:
-            with _patched_functional(self):
+            with observe(_SanitizerShim(self)), _patched_functional(self):
                 yield self
         finally:
             _ACTIVE = None
             Module.__call__ = original_call
-            set_sanitizer(previous_sanitizer)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Runtime tensor sanitizer — ASan-style numeric checks for the autodiff tape.
 
 When installed (via :func:`sanitize` or ``repro.cli run --sanitize``), the
-engine calls back here at two points:
+sanitizer observes two engine events (the observer protocol of
+:class:`repro.tensor.tensor.Observer`):
 
-- **tape-node creation** (``Tensor._make``): every op output is checked
+- **op outputs** (``Tensor._make``): every op output, taped or not, is checked
   for NaN/Inf, dtype drift away from the engine's active compute-dtype
   contract (float64 by default, float32 under
   ``repro.tensor.compute_dtype(np.float32)``), and
@@ -15,14 +16,14 @@ engine calls back here at two points:
   ``grad`` buffer (and, one optimizer step later, Adam's moments).
 
 The fused sequence kernels additionally report the first offending
-*timestep* (:meth:`TensorSanitizer.check_sequence`), because a NaN born
+*timestep* (:meth:`TensorSanitizer.on_sequence`), because a NaN born
 at t=37 of a 96-step scan is invisible in the single fused tape node.
 
 Each finding carries the op name, the index of the first bad element,
 and a captured creation stack, and is mirrored into :mod:`repro.obs` as
 an ``anomaly`` event (kind ``sanitizer_*``) when a logger is attached.
-When no sanitizer is installed the engine pays exactly one ``is not
-None`` test per hook — the hot path stays allocation- and branch-free.
+When no observer is installed the engine pays one emptiness test per
+event — the hot path stays allocation- and branch-free.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TensorSanitizerError(RuntimeError):
         self.finding = finding
 
 
-class TensorSanitizer:
+class TensorSanitizer(_engine.Observer):
     """Collects (and optionally raises on) numeric defects in the tape.
 
     Parameters
@@ -106,12 +107,9 @@ class TensorSanitizer:
         self.findings: List[SanitizerFinding] = []
         self.checked_nodes: int = 0
         self.checked_grads: int = 0
-        # id() of the last array reported by check_sequence, so the
-        # generic tape-node check does not file the same defect twice
+        # id() of the last array reported by on_sequence, so the
+        # generic op-output check does not file the same defect twice
         self._sequence_reported: Optional[int] = None
-        # op whose backward closure is currently running (set by the
-        # engine's backward loop) — attributes bad gradients to their maker
-        self.current_producer: Optional[str] = None
 
     @property
     def expected_dtype(self) -> np.dtype:
@@ -122,10 +120,9 @@ class TensorSanitizer:
         return _engine.get_default_dtype()
 
     # ------------------------------------------------------------------
-    # engine hooks
+    # engine events
     # ------------------------------------------------------------------
-    def check_forward(self, op: str, data: np.ndarray, parents: Tuple) -> None:
-        """Called by ``Tensor._make`` on every tape-node creation."""
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple, out) -> None:
         self.checked_nodes += 1
         if (
             data.dtype.kind == "f"
@@ -163,11 +160,9 @@ class TensorSanitizer:
                 },
             )
 
-    def check_grad(self, op: str, grad: np.ndarray) -> None:
-        """Called by ``Tensor._accumulate`` on every incoming gradient."""
+    def on_grad(self, op: str, grad: np.ndarray, producer: Optional[str]) -> None:
         self.checked_grads += 1
         if grad.dtype.kind == "f" and not np.isfinite(grad).all():
-            producer = self.current_producer
             detail = self._locate(grad)
             source = "the backward seed"
             if producer:
@@ -180,7 +175,7 @@ class TensorSanitizer:
                 detail,
             )
 
-    def check_sequence(self, op: str, data: np.ndarray, time_axis: int = 1) -> None:
+    def on_sequence(self, op: str, data: np.ndarray, time_axis: int) -> None:
         """Timestep-resolved non-finite check for fused scan kernels."""
         if data.dtype.kind != "f" or np.isfinite(data).all():
             return
@@ -219,7 +214,7 @@ class TensorSanitizer:
         return {"first_bad_index": first, "bad_count": int(len(index)), "shape": list(data.shape)}
 
     def _capture_stack(self) -> Tuple[str, ...]:
-        # drop the two sanitizer-internal frames (_record + check_*) so the
+        # drop the two sanitizer-internal frames (_record + on_*) so the
         # stack ends at the engine call site that created the value
         frames = traceback.format_stack(limit=self.stack_limit + 2)[:-2]
         return tuple(frames)
@@ -243,12 +238,12 @@ class TensorSanitizer:
     def summary(self) -> str:
         if not self.findings:
             return (
-                f"sanitizer: clean ({self.checked_nodes} tape nodes, "
+                f"sanitizer: clean ({self.checked_nodes} op outputs, "
                 f"{self.checked_grads} gradient accumulations checked)"
             )
         lines = [
             f"sanitizer: {len(self.findings)} finding(s) over {self.checked_nodes} "
-            f"tape nodes / {self.checked_grads} gradient accumulations"
+            f"op outputs / {self.checked_grads} gradient accumulations"
         ]
         lines.extend(f"  {f.render()}" for f in self.findings)
         return "\n".join(lines)
@@ -263,30 +258,29 @@ def sanitize(
 ):
     """Install a :class:`TensorSanitizer` for the duration of the block.
 
-    Nestable — the previous sanitizer (usually None) is restored on exit,
-    so a sanitized test cannot leak checks into the rest of the suite::
+    Nestable, and composes with every other engine observer; it is
+    removed on exit, so a sanitized test cannot leak checks into the rest
+    of the suite::
 
         with sanitize() as san:
             loss = model(x).sum()
             loss.backward()          # raises TensorSanitizerError on NaN
         assert not san.findings
 
-    ``alias=True`` layers the ownership sanitizer
-    (:func:`repro.analysis.alias.alias_guard`) on top: arena
-    use-after-release, plan-cache write traps, and tape-pinning checks
-    run alongside the numeric ones.  The installed guard is exposed as
-    ``sanitizer.alias`` so callers can inspect its findings separately.
+    ``alias=True`` also installs the ownership sanitizer
+    (:func:`repro.analysis.alias.alias_guard`), ahead of the numeric one:
+    arena use-after-release, plan-cache write traps, and tape-pinning
+    checks run alongside the numeric ones, and a poisoned (NaN) stale
+    buffer is reported as the ownership bug it is.  The guard is exposed
+    as ``sanitizer.alias`` so callers can inspect its findings separately.
     """
     sanitizer = TensorSanitizer(logger=logger, raise_on_error=raise_on_error, **kwargs)
-    previous = _engine.set_sanitizer(sanitizer)
-    try:
+    with contextlib.ExitStack() as stack:
         if alias:
             from repro.analysis.alias import alias_guard
 
-            with alias_guard(logger=logger, raise_on_error=raise_on_error) as guard:
-                sanitizer.alias = guard
-                yield sanitizer
-        else:
-            yield sanitizer
-    finally:
-        _engine.set_sanitizer(previous)
+            sanitizer.alias = stack.enter_context(
+                alias_guard(logger=logger, raise_on_error=raise_on_error)
+            )
+        stack.enter_context(_engine.observe(sanitizer))
+        yield sanitizer

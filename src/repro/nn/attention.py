@@ -495,7 +495,7 @@ class AutoCorrelation(AttentionMechanism):
             out += rolled
         # roll scratch dies with the kernel; release its checkout scope
         get_arena().release("autocorr.")
-        return Tensor(out)
+        return Tensor._make(out, (q, k, v), "autocorrelation", None)
 
 
 def _roll_time(x: Tensor, shifts: np.ndarray) -> Tensor:

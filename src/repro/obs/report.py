@@ -132,54 +132,35 @@ _MANIFEST_KEYS = (
 
 
 def _render_op_profile(profile: Dict, top: int = 15) -> List[str]:
-    """Top-K per-op table with module attribution (``op_profile`` event).
-
-    Handles both the v2 schema (``top`` rows with wall seconds and bytes
-    from :class:`repro.perf.OpLevelProfiler`) and the legacy v1 layout
-    (``per_op`` with tape_nodes/backward_seconds only).
-    """
+    """Top-K (module, op) table of an ``op_profile`` event: calls, taped
+    nodes, forward and backward wall seconds, and bytes."""
     lines: List[str] = []
     rows = profile.get("top")
-    if isinstance(rows, list) and rows:
-        lines.append(f"op profile (top {min(top, len(rows))} by wall time)")
-        lines.append(
-            f"  {'op':<18} {'module':<32} {'calls':>7} {'seconds':>10} {'MB':>8}"
-        )
-        lines.append("  " + "-" * 80)
-        for row in rows[:top]:
-            if not isinstance(row, dict):
-                continue
-            lines.append(
-                f"  {str(row.get('op', '?')):<18} {str(row.get('module', '?')):<32.32} "
-                f"{_fmt(row.get('calls'), 7)} {_fmt(row.get('seconds'), 10, 6)} "
-                f"{_fmt((row.get('nbytes') or 0) / 1e6, 8, 2)}"
-            )
-        memory = profile.get("memory")
-        if isinstance(memory, dict):
-            lines.append(
-                "  memory: "
-                f"allocated {memory.get('allocated_bytes', 0) / 1e6:.2f} MB, "
-                f"peak live {memory.get('peak_bytes', 0) / 1e6:.2f} MB, "
-                f"taped {memory.get('taped_nodes', 0)} nodes / "
-                f"{memory.get('taped_bytes', 0) / 1e6:.2f} MB"
-            )
+    if not isinstance(rows, list) or not rows:
         return lines
-    per_op = profile.get("per_op")
-    if isinstance(per_op, dict) and per_op:
-        lines.append("op profile (tape nodes / backward time)")
-        lines.append(f"  {'op':<18} {'nodes':>8} {'backward s':>12}")
-        lines.append("  " + "-" * 40)
-        ranked = sorted(
-            per_op.items(),
-            key=lambda kv: -(kv[1].get("backward_seconds", 0.0) if isinstance(kv[1], dict) else 0.0),
+    lines.append(f"op profile (top {min(top, len(rows))} by wall time)")
+    lines.append(
+        f"  {'op':<18} {'module':<32} {'calls':>7} {'taped':>6} {'fwd s':>10} {'bwd s':>10} {'MB':>8}"
+    )
+    lines.append("  " + "-" * 97)
+    for row in rows[:top]:
+        if not isinstance(row, dict):
+            continue
+        lines.append(
+            f"  {str(row.get('op', '?')):<18} {str(row.get('module', '?')):<32.32} "
+            f"{_fmt(row.get('calls'), 7)} {_fmt(row.get('taped'), 6)} "
+            f"{_fmt(row.get('seconds'), 10, 6)} {_fmt(row.get('backward_seconds'), 10, 6)} "
+            f"{_fmt((row.get('nbytes') or 0) / 1e6, 8, 2)}"
         )
-        for op, stats in ranked[:top]:
-            if not isinstance(stats, dict):
-                continue
-            lines.append(
-                f"  {op:<18} {_fmt(stats.get('tape_nodes'), 8)} "
-                f"{_fmt(stats.get('backward_seconds'), 12, 6)}"
-            )
+    memory = profile.get("memory")
+    if isinstance(memory, dict):
+        lines.append(
+            "  memory: "
+            f"allocated {memory.get('allocated_bytes', 0) / 1e6:.2f} MB, "
+            f"peak live {memory.get('peak_bytes', 0) / 1e6:.2f} MB, "
+            f"taped {memory.get('taped_nodes', 0)} nodes / "
+            f"{memory.get('taped_bytes', 0) / 1e6:.2f} MB"
+        )
     return lines
 
 

@@ -1,15 +1,9 @@
-"""Op-level profiling for the autodiff engine.
+"""Op-level profiling and benchmarks for the autodiff engine.
 
-Five tools, all zero-overhead when inactive:
-
-- :func:`profile` / :class:`OpProfiler` — installs engine hooks that count
-  tape nodes per op as they are recorded and time each op's backward
-  closure during ``Tensor.backward()``.
-- :func:`op_profile` / :class:`OpLevelProfiler` — wall time, call counts,
-  and allocated bytes per op *and per module* (forward/inference side,
-  memory accounting, Chrome-trace timelines; see :mod:`repro.perf.opprof`).
-- :class:`StageTimer` — nestable named wall-clock sections for coarse
-  phase timing (forward / backward / optimizer ...).
+- :func:`op_profile` — the one profiler: forward and backward wall time,
+  call counts, tape nodes and allocated bytes per op *and per module*,
+  memory accounting and Chrome-trace timelines (see
+  :mod:`repro.perf.opprof`).  Zero-overhead when inactive.
 - :mod:`repro.perf.bench` — the canonical Conformer training-step
   benchmark behind ``python -m repro.perf`` and ``BENCH_autodiff.json``.
 - :mod:`repro.perf.history` — the schema-versioned bench-history ledger
@@ -19,7 +13,7 @@ Example::
 
     from repro import perf
 
-    with perf.profile() as prof:
+    with perf.op_profile(model) as prof:
         loss = model.compute_loss(model(x_enc, x_mark, x_dec, y_mark), y)
         loss.backward()
     print(prof.summary())
@@ -27,118 +21,6 @@ Example::
 
 from __future__ import annotations
 
-import contextlib
-from collections import Counter, defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from repro.perf.opprof import op_profile
 
-from repro.obs.tracer import Tracer
-from repro.perf.opprof import OpLevelProfiler, op_profile
-from repro.tensor import tensor as _tensor_mod
-from repro.tensor.tensor import Tensor
-
-__all__ = [
-    "OpLevelProfiler",
-    "OpProfiler",
-    "StageTimer",
-    "op_profile",
-    "profile",
-    "tape_nodes",
-]
-
-
-class OpProfiler:
-    """Per-op tape-node counts and backward wall time.
-
-    Populated by the engine hooks while active inside :func:`profile`.
-    ``tape_counts[op]`` is the number of tape nodes recorded per op name;
-    ``backward_seconds[op]`` the cumulative time spent in that op's
-    backward closures.
-    """
-
-    def __init__(self) -> None:
-        self.tape_counts: Counter = Counter()
-        self.backward_seconds: Dict[str, float] = defaultdict(float)
-        self.backward_calls: Counter = Counter()
-
-    # engine hook targets ------------------------------------------------
-    def _on_tape(self, op: str) -> None:
-        self.tape_counts[op] += 1
-
-    def _on_backward(self, op: str, seconds: float) -> None:
-        self.backward_seconds[op] += seconds
-        self.backward_calls[op] += 1
-
-    # reporting ----------------------------------------------------------
-    @property
-    def total_nodes(self) -> int:
-        """Total tape nodes recorded while the profiler was active."""
-        return sum(self.tape_counts.values())
-
-    @property
-    def total_backward_seconds(self) -> float:
-        return sum(self.backward_seconds.values())
-
-    def top_ops(self, n: int = 10) -> List[Tuple[str, int, float]]:
-        """``(op, tape_nodes, backward_seconds)`` sorted by backward time."""
-        ops = set(self.tape_counts) | set(self.backward_seconds)
-        rows = [(op, self.tape_counts[op], self.backward_seconds.get(op, 0.0)) for op in ops]
-        rows.sort(key=lambda r: (-r[2], -r[1]))
-        return rows[:n]
-
-    def as_dict(self) -> dict:
-        return {
-            "total_tape_nodes": self.total_nodes,
-            "total_backward_seconds": self.total_backward_seconds,
-            "per_op": {
-                op: {
-                    "tape_nodes": self.tape_counts[op],
-                    "backward_seconds": self.backward_seconds.get(op, 0.0),
-                    "backward_calls": self.backward_calls.get(op, 0),
-                }
-                for op in sorted(set(self.tape_counts) | set(self.backward_seconds))
-            },
-        }
-
-    def summary(self, n: int = 15) -> str:
-        """Fixed-width table of the heaviest ops."""
-        lines = [
-            f"{'op':<18} {'nodes':>8} {'backward s':>12}",
-            "-" * 40,
-        ]
-        for op, count, seconds in self.top_ops(n):
-            lines.append(f"{op:<18} {count:>8d} {seconds:>12.6f}")
-        lines.append("-" * 40)
-        lines.append(f"{'total':<18} {self.total_nodes:>8d} {self.total_backward_seconds:>12.6f}")
-        return "\n".join(lines)
-
-
-@contextlib.contextmanager
-def profile() -> Iterator[OpProfiler]:
-    """Activate engine-level op profiling for the enclosed block."""
-    prof = OpProfiler()
-    previous = (_tensor_mod._TAPE_HOOK, _tensor_mod._BACKWARD_HOOK)
-    _tensor_mod.set_profile_hooks(prof._on_tape, prof._on_backward)
-    try:
-        yield prof
-    finally:
-        _tensor_mod.set_profile_hooks(*previous)
-
-
-def tape_nodes(fn: Callable[[], Optional[Tensor]]) -> int:
-    """Count the tape nodes recorded while running ``fn()``."""
-    with profile() as prof:
-        fn()
-    return prof.total_nodes
-
-
-class StageTimer(Tracer):
-    """Named wall-clock sections: ``with timer.section("forward"): ...``.
-
-    Now a flat-keyed :class:`repro.obs.Tracer` — same ``seconds`` /
-    ``calls`` / ``as_dict()`` / ``summary()`` surface as before, but
-    sections may nest (aggregated by leaf name) and the timer can be
-    passed anywhere a tracer is expected.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(flat=True)
+__all__ = ["op_profile"]

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.optim import Adam, clip_grad_norm
-from repro.perf import OpProfiler, profile
+from repro.perf import op_profile
 from repro.tensor import Tensor, functional as F
 from repro.tensor.random import seed_everything
 from repro.training import ExperimentSettings, PROFILES, build_model, make_loaders
@@ -87,18 +87,20 @@ def time_training_step(
             start = perf_counter()
             _training_step(model, optimizer, batch)
             times.append(perf_counter() - start)
-        # profiled step kept out of the timing loop: hooks add overhead
-        with profile() as prof:
+        # profiled step kept out of the timing loop: observers add overhead
+        with op_profile(track_live=False) as prof:
             loss = _training_step(model, optimizer, batch)
+    per_op = prof.per_op()
+    heaviest = sorted(per_op, key=lambda op: (-per_op[op]["backward_seconds"], -per_op[op]["taped"]))
     return {
         "seconds_per_step": float(np.median(times)),
         "seconds_per_step_mean": float(np.mean(times)),
         "steps_timed": repeats,
-        "tape_nodes_per_step": prof.total_nodes,
-        "backward_seconds": prof.total_backward_seconds,
+        "tape_nodes_per_step": prof.taped_nodes,
+        "backward_seconds": prof.backward_seconds,
         "top_ops": [
-            {"op": op, "tape_nodes": count, "backward_seconds": seconds}
-            for op, count, seconds in prof.top_ops(10)
+            {"op": op, "tape_nodes": per_op[op]["taped"], "backward_seconds": per_op[op]["backward_seconds"]}
+            for op in heaviest[:10]
         ],
         "final_loss": loss,
     }

@@ -5,144 +5,35 @@
     from repro.perf import op_profile
 
     with op_profile(model) as prof:
-        prediction = model(x_enc, x_mark, x_dec, y_mark)
+        loss = model.compute_loss(model(x_enc, x_mark, x_dec, y_mark), y)
+        loss.backward()
     print(prof.summary())           # top-K (module, op) table
     prof.as_dict()                  # the ``op_profile`` run-log event body
 
-It installs the engine op hook (:func:`repro.tensor.set_op_hook`) for the
-enclosed block, so *every* op output — taped or tape-free — is attributed
-wall time, a call count, and allocated bytes.  Passing a model wraps each
-submodule's ``forward`` for the duration, labelling ops with the dotted
-``named_modules`` path of the innermost module that produced them (the
-same naming the contracts checker uses).  Zero overhead when inactive:
-outside the context the hook slot is ``None`` and ``Tensor._make`` pays a
-single identity check.
-
-The older :class:`repro.perf.OpProfiler` (tape-node counts + backward
-timing) remains for the training benchmark; this profiler covers the
-forward/inference side, memory accounting, and Chrome-trace timelines
-(``python -m repro.cli obs trace``).
+It installs the engine profiler (:class:`repro.tensor.profiler.EngineProfiler`)
+as an engine observer for the enclosed block — the observer protocol is
+described in docs/observability.md ("Engine observers") — so *every* op
+output, taped or tape-free, is attributed wall time, a call count, and
+allocated bytes, and every backward node its wall time.  Passing a model
+wraps each submodule's ``forward`` for the duration, labelling ops with
+the dotted ``named_modules`` path of the innermost module that produced
+them (the same naming the contracts checker uses).  Zero overhead when
+inactive: outside the context the observer tuple is empty.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.tensor import tensor as _tensor_mod
 from repro.tensor.profiler import EngineProfiler
+from repro.tensor.tensor import observe
 
-__all__ = ["OpLevelProfiler", "op_profile"]
-
-#: schema version of :meth:`OpLevelProfiler.as_dict` / the ``op_profile``
-#: run-log event (bump on breaking layout changes)
-OP_PROFILE_SCHEMA = 2
-
-
-class OpLevelProfiler:
-    """High-level view over an :class:`EngineProfiler` recording.
-
-    Exposes per-op / per-module aggregation, memory accounting, a bounded
-    raw-event timeline, and the serialised ``op_profile`` event consumed
-    by ``obs report`` and ``obs trace``.
-    """
-
-    def __init__(self, timeline_capacity: int = 8192, track_live: bool = True) -> None:
-        self.engine = EngineProfiler(
-            timeline_capacity=timeline_capacity, track_live=track_live
-        )
-
-    # ------------------------------------------------------------------
-    # aggregate surface
-    # ------------------------------------------------------------------
-    @property
-    def total_calls(self) -> int:
-        """Op outputs recorded while active."""
-        return self.engine.total_calls
-
-    @property
-    def total_seconds(self) -> float:
-        return self.engine.total_seconds
-
-    @property
-    def total_bytes(self) -> int:
-        return self.engine.total_bytes
-
-    @property
-    def taped_nodes(self) -> int:
-        return self.engine.taped_nodes
-
-    @property
-    def taped_bytes(self) -> int:
-        return self.engine.taped_bytes
-
-    # duck-type compatibility with RunLogger.record_op_profile, which
-    # observes ``total_nodes`` into the ``tape_nodes`` histogram
-    @property
-    def total_nodes(self) -> int:
-        return self.engine.taped_nodes
-
-    def rows(self) -> List[dict]:
-        return self.engine.rows()
-
-    def top_ops(self, n: int = 10) -> List[dict]:
-        """Heaviest (module, op) rows by attributed wall time."""
-        return self.rows()[:n]
-
-    def memory_stats(self) -> dict:
-        return self.engine.memory_stats()
-
-    def timeline(self) -> List[dict]:
-        return self.engine.timeline()
-
-    # ------------------------------------------------------------------
-    # serialisation / rendering
-    # ------------------------------------------------------------------
-    def as_dict(self, top: int = 20, timeline: bool = True) -> dict:
-        """The ``op_profile`` run-log event body (JSON-serialisable)."""
-        payload = {
-            "schema": OP_PROFILE_SCHEMA,
-            "total_calls": self.total_calls,
-            "total_seconds": self.total_seconds,
-            "total_tape_nodes": self.taped_nodes,
-            "memory": self.memory_stats(),
-            "per_op": self.engine.per_op(),
-            "per_module": self.engine.per_module(),
-            "top": self.top_ops(top),
-            "dropped_events": self.engine.dropped_events,
-            "wall_anchor": self.engine.wall_anchor,
-        }
-        if timeline:
-            payload["timeline"] = self.timeline()
-        return payload
-
-    def summary(self, n: int = 15) -> str:
-        """Fixed-width top-K table: op, module, calls, seconds, bytes."""
-        lines = [
-            f"{'op':<18} {'module':<32} {'calls':>7} {'seconds':>10} {'mean us':>9} {'MB':>8}",
-            "-" * 90,
-        ]
-        for row in self.top_ops(n):
-            mean_us = (row["seconds"] / row["calls"]) * 1e6 if row["calls"] else 0.0
-            lines.append(
-                f"{row['op']:<18} {row['module']:<32.32} {row['calls']:>7d} "
-                f"{row['seconds']:>10.6f} {mean_us:>9.1f} {row['nbytes'] / 1e6:>8.2f}"
-            )
-        lines.append("-" * 90)
-        mem = self.memory_stats()
-        lines.append(
-            f"{'total':<18} {'':<32} {self.total_calls:>7d} {self.total_seconds:>10.6f} "
-            f"{'':>9} {self.total_bytes / 1e6:>8.2f}"
-        )
-        lines.append(
-            f"taped: {mem['taped_nodes']} nodes / {mem['taped_bytes'] / 1e6:.2f} MB, "
-            f"peak live {mem['peak_bytes'] / 1e6:.2f} MB"
-        )
-        return "\n".join(lines)
+__all__ = ["op_profile"]
 
 
 @contextlib.contextmanager
-def _instrument_modules(model, engine: EngineProfiler) -> Iterator[None]:
+def _instrument_modules(model, profiler: EngineProfiler) -> Iterator[None]:
     """Wrap every submodule ``forward`` to push its dotted-path scope."""
     wrapped = []
     seen = set()
@@ -154,7 +45,7 @@ def _instrument_modules(model, engine: EngineProfiler) -> Iterator[None]:
             original = module.forward
 
             def forward(*args, _original=original, _name=name, **kwargs):
-                with engine.module_scope(_name):
+                with profiler.module_scope(_name):
                     return _original(*args, **kwargs)
 
             object.__setattr__(module, "forward", forward)
@@ -170,13 +61,12 @@ def op_profile(
     model=None,
     timeline_capacity: int = 8192,
     track_live: bool = True,
-) -> Iterator[OpLevelProfiler]:
+) -> Iterator[EngineProfiler]:
     """Activate op-level profiling (and module attribution) for a block."""
-    prof = OpLevelProfiler(timeline_capacity=timeline_capacity, track_live=track_live)
+    prof = EngineProfiler(timeline_capacity=timeline_capacity, track_live=track_live)
     with contextlib.ExitStack() as stack:
         if model is not None:
-            stack.enter_context(_instrument_modules(model, prof.engine))
-        previous = _tensor_mod.set_op_hook(prof.engine.on_op)
-        stack.callback(_tensor_mod.set_op_hook, previous)
-        prof.engine.mark()
+            stack.enter_context(_instrument_modules(model, prof))
+        stack.enter_context(observe(prof))
+        prof.mark()
         yield prof

@@ -1,8 +1,13 @@
-"""LRU forecast cache keyed by (model_version, series_id, horizon).
+"""LRU forecast cache keyed by (model_version, series_id, horizon, history_len).
 
 A forecast is a pure function of (model weights, series history, horizon)
-— so a cached entry is valid exactly until one of those changes.  The two
-invalidation events are therefore explicit API, not TTL guesswork:
+— so the key names all three.  The history is named by its length: a
+series only grows, so the length it was read at identifies it, and a
+forecast computed from a window read *before* an ingest lands under the
+old length, where no later lookup (made at the new length) can hit it.
+That makes a slow forward that finishes after an ingest harmless without
+any lock around the forward.  Stale entries are also dropped eagerly, by
+two explicit invalidation events rather than TTL guesswork:
 
 - :meth:`invalidate_series` — new observations arrived for a series
   (:meth:`ForecastServer.ingest`), every horizon for that series is stale;
@@ -25,8 +30,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: (model_version, series_id, horizon)
-CacheKey = Tuple[str, str, int]
+#: (model_version, series_id, horizon, history_len)
+CacheKey = Tuple[str, str, int, int]
 
 
 class ForecastCache:
@@ -43,9 +48,9 @@ class ForecastCache:
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, version: str, series_id: str, horizon: int) -> Optional[np.ndarray]:
+    def get(self, version: str, series_id: str, horizon: int, history_len: int) -> Optional[np.ndarray]:
         """The cached forecast, refreshed to most-recently-used, or None."""
-        key = (version, series_id, int(horizon))
+        key = (version, series_id, int(horizon), int(history_len))
         with self._lock:
             value = self._entries.get(key)
             if value is None:
@@ -55,7 +60,9 @@ class ForecastCache:
             self.hits += 1
             return value
 
-    def put(self, version: str, series_id: str, horizon: int, forecast: np.ndarray) -> np.ndarray:
+    def put(
+        self, version: str, series_id: str, horizon: int, history_len: int, forecast: np.ndarray
+    ) -> np.ndarray:
         """Insert (a frozen copy of) a forecast; evicts LRU past capacity.
 
         Returns the stored read-only array so callers can hand out the
@@ -63,7 +70,7 @@ class ForecastCache:
         """
         frozen = np.array(forecast, copy=True)
         frozen.setflags(write=False)
-        key = (version, series_id, int(horizon))
+        key = (version, series_id, int(horizon), int(history_len))
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)

@@ -22,9 +22,11 @@ p50/p95, ``serve.queue_depth`` / ``serve.workers_alive`` /
 log — ``obs report`` renders a serving run like any training run.
 
 Consistency contract: a forecast is a pure function of (model version,
-series history, horizon).  Ingestion invalidates the series' cache
-entries; hot-swap invalidates the outgoing version's.  Batched and
-unbatched paths produce element-wise identical forecasts
+series history, horizon).  Cache entries are keyed on the history length
+the window was read at, so a forward racing an ingest can only cache
+under the old length, which no later lookup asks for.  Ingestion also
+drops the series' cache entries; hot-swap drops the outgoing version's.
+Batched and unbatched paths produce element-wise identical forecasts
 (tests/test_properties.py), so a degraded server is slower, never wrong.
 """
 
@@ -43,7 +45,7 @@ from repro.serve.cache import ForecastCache
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.pool import WorkerPool
 from repro.serve.registry import ModelRegistry, ModelVersion
-from repro.serve.store import SeriesStore
+from repro.serve.store import RequestWindow, SeriesStore
 
 __all__ = ["ForecastServer"]
 
@@ -137,7 +139,7 @@ class ForecastServer:
             return pending.future
         if self.cache_enabled:
             version = self.registry.current()
-            hit = self.cache.get(version.version, series_id, horizon)
+            hit = self.cache.get(version.version, series_id, horizon, self.store.length(series_id))
             if hit is not None:
                 pending.future.set_result(
                     ForecastResponse(
@@ -195,8 +197,8 @@ class ForecastServer:
         )
         self._batch_size.observe(len(live))
         done = self.clock.now()
-        for pending, forecast in zip(live, forecasts):
-            self._deliver(pending, forecast, version, batch_size=len(live), done=done)
+        for pending, window, forecast in zip(live, windows, forecasts):
+            self._deliver(pending, window, forecast, version, batch_size=len(live), done=done)
         if self.pool is not None:
             self.metrics.gauge("serve.queue_depth").set(self.pool.depth())
 
@@ -226,7 +228,7 @@ class ForecastServer:
             self._resolve_error(pending, f"degraded forward failed: {exc}" if error is None else str(error))
             return
         self._batch_size.observe(1)
-        self._deliver(pending, forecast, version, batch_size=1, done=self.clock.now(), degraded=True)
+        self._deliver(pending, window, forecast, version, batch_size=1, done=self.clock.now(), degraded=True)
 
     # ------------------------------------------------------------------
     # request resolution helpers
@@ -244,6 +246,7 @@ class ForecastServer:
     def _deliver(
         self,
         pending: PendingRequest,
+        window: RequestWindow,
         forecast: np.ndarray,
         version: ModelVersion,
         batch_size: int,
@@ -252,7 +255,7 @@ class ForecastServer:
     ) -> None:
         sliced = forecast[: pending.horizon]
         if self.cache_enabled:
-            sliced = self.cache.put(version.version, pending.series_id, pending.horizon, sliced)
+            sliced = self.cache.put(version.version, pending.series_id, pending.horizon, window.length, sliced)
         else:
             sliced = np.array(sliced, copy=True)
         latency = done - pending.enqueued_at

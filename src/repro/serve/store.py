@@ -51,15 +51,17 @@ def cyclic_marks(d_time: int = 4, periods: Tuple[int, ...] = _MARK_PERIODS) -> C
 
 
 class RequestWindow:
-    """One request's assembled model inputs (single sample, unbatched)."""
+    """One request's assembled model inputs (single sample, unbatched),
+    plus the series ``length`` they were read at."""
 
-    __slots__ = ("x_enc", "x_mark", "x_dec", "y_mark")
+    __slots__ = ("x_enc", "x_mark", "x_dec", "y_mark", "length")
 
-    def __init__(self, x_enc, x_mark, x_dec, y_mark) -> None:
+    def __init__(self, x_enc, x_mark, x_dec, y_mark, length: int) -> None:
         self.x_enc = x_enc
         self.x_mark = x_mark
         self.x_dec = x_dec
         self.y_mark = y_mark
+        self.length = length
 
 
 class SeriesStore:
@@ -112,6 +114,7 @@ class SeriesStore:
             x_mark=self.mark_fn(enc_idx),
             x_dec=x_dec,
             y_mark=self.mark_fn(dec_idx),
+            length=end,
         )
 
     def length(self, series_id: str) -> int:

@@ -13,6 +13,7 @@ recycle scratch via :mod:`repro.tensor.arena`), and
 """
 
 from repro.tensor.tensor import (
+    Observer,
     Tensor,
     compute_dtype,
     get_default_dtype,
@@ -20,8 +21,7 @@ from repro.tensor.tensor import (
     is_grad_enabled,
     is_inference_mode,
     no_grad,
-    set_op_hook,
-    set_profile_hooks,
+    observe,
     tape_node_count,
 )
 from repro.tensor import functional
@@ -44,8 +44,8 @@ __all__ = [
     "fused_ops",
     "fused_ops_enabled",
     "gradcheck",
-    "set_op_hook",
-    "set_profile_hooks",
+    "Observer",
+    "observe",
     "EngineProfiler",
     "BufferArena",
     "get_arena",

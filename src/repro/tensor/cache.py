@@ -34,6 +34,8 @@ from typing import Callable, Dict, Hashable, Iterator, Optional
 
 import numpy as np
 
+from repro.tensor import tensor as _engine
+
 
 def iter_plan_arrays(value) -> Iterator[np.ndarray]:
     """Yield every ndarray reachable inside a cached plan value.
@@ -65,17 +67,6 @@ class PlanCache:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: ownership sanitizer (repro.analysis.alias); None = zero-overhead
-        self._alias_hook = None
-
-    def set_alias_hook(self, hook):
-        """Install (or clear, with None) the ownership sanitizer hook.
-
-        Returns the previous hook so nested guards can restore it.
-        """
-        previous = self._alias_hook
-        self._alias_hook = hook
-        return previous
 
     def get(self, key: Hashable, builder: Callable[[], object]):
         """Return the cached plan for ``key``, building it on first use.
@@ -91,19 +82,20 @@ class PlanCache:
             pass
         else:
             self.hits += 1
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_access(key, value)
+            if _engine._OBSERVERS:
+                for observer in _engine._OBSERVERS:
+                    observer.on_plan_access(key, value)
             return value
         self.misses += 1
         value = builder()
         _freeze_plan(value)
         if len(self._entries) >= self.maxsize:
             evicted_key, evicted = self._entries.popitem(last=False)  # FIFO
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_evict(evicted_key, evicted)
+            for observer in _engine._OBSERVERS:
+                observer.on_plan_evict(evicted_key, evicted)
         self._entries[key] = value
-        if self._alias_hook is not None:
-            self._alias_hook.on_plan_insert(key, value)
+        for observer in _engine._OBSERVERS:
+            observer.on_plan_insert(key, value)
         return value
 
     def invalidate(self, prefix: Optional[str] = None) -> int:
@@ -120,8 +112,8 @@ class PlanCache:
             ]
         for key in doomed:
             value = self._entries.pop(key)
-            if self._alias_hook is not None:
-                self._alias_hook.on_plan_evict(key, value)
+            for observer in _engine._OBSERVERS:
+                observer.on_plan_evict(key, value)
         return len(doomed)
 
     def stats(self) -> Dict[str, int]:

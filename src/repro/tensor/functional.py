@@ -526,9 +526,8 @@ def _gru_sequence_inference(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_
     # sanitizer flag any handle that leaked out of the kernel (no-op when
     # no sanitizer is attached)
     arena.release("gru.")
-    if _engine._SANITIZER is not None:
-        _engine._SANITIZER.check_sequence("gru_sequence", out, time_axis=1)
-    return Tensor(out)
+    _engine.emit_sequence("gru_sequence", out)
+    return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", None)
 
 
 def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
@@ -568,10 +567,9 @@ def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor)
         h = (1.0 - z) * n + z * h
         r_all[t], z_all[t], n_all[t], nh_all[t], h_all[t + 1] = r, z, n, nh, h
         out[:, t] = h
-    if _engine._SANITIZER is not None:
-        # a NaN born mid-scan is invisible in the single fused tape node;
-        # report the first offending timestep before _make files a generic one
-        _engine._SANITIZER.check_sequence("gru_sequence", out, time_axis=1)
+    # a NaN born mid-scan is invisible in the single fused tape node;
+    # report the first offending timestep before _make files a generic one
+    _engine.emit_sequence("gru_sequence", out)
 
     def backward(grad: np.ndarray) -> None:
         w_hh_t = w_hh.T
@@ -639,9 +637,8 @@ def _lstm_sequence_inference(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: 
         out[:, t, :hidden] = h
         out[:, t, hidden:] = c
     arena.release("lstm.")
-    if _engine._SANITIZER is not None:
-        _engine._SANITIZER.check_sequence("lstm_sequence", out, time_axis=1)
-    return Tensor(out)
+    _engine.emit_sequence("lstm_sequence", out)
+    return Tensor._make(out, (x_proj, h0, c0, weight_hh, bias_hh), "lstm_sequence", None)
 
 
 def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
@@ -684,8 +681,7 @@ def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bia
         h_all[t + 1], c_all[t + 1] = h, c
         out[:, t, :hidden] = h
         out[:, t, hidden:] = c
-    if _engine._SANITIZER is not None:
-        _engine._SANITIZER.check_sequence("lstm_sequence", out, time_axis=1)
+    _engine.emit_sequence("lstm_sequence", out)
 
     def backward(grad: np.ndarray) -> None:
         w_hh_t = w_hh.T

@@ -10,7 +10,6 @@ summed over the broadcast axes (see :func:`unbroadcast`).
 from __future__ import annotations
 
 import contextlib
-from time import perf_counter
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,66 +30,83 @@ _DEFAULT_DTYPE = np.dtype(np.float64)
 
 # Monotonic count of tape nodes ever recorded by Tensor._make.  Tests use
 # deltas of tape_node_count() to assert that inference_mode() records
-# exactly zero nodes; repro.perf's hook-based profiler stays the tool for
-# per-op attribution.
+# exactly zero nodes.
 _TAPE_NODES = 0
 
-# Profiling hooks (installed by repro.perf; None = zero-overhead fast path).
-# _TAPE_HOOK is called with the op name every time a tape node is recorded;
-# _BACKWARD_HOOK is called with (op name, seconds) after each node's backward.
-# _OP_HOOK is called with (op, out_data, taped) on *every* op output — taped
-# or not — so the op-level profiler sees inference-mode forwards too.
-_TAPE_HOOK: Optional[Callable[[str], None]] = None
-_BACKWARD_HOOK: Optional[Callable[[str, float], None]] = None
-_OP_HOOK: Optional[Callable[[str, np.ndarray, bool], None]] = None
+# The single observer slot: every engine event (op outputs, gradient
+# accumulation, backward nodes, scan checks, arena and plan-cache traffic)
+# is delivered to each installed Observer in install order.  Empty tuple =
+# zero-overhead fast path: each event source pays one emptiness test.
+_OBSERVERS: Tuple["Observer", ...] = ()
 
-# Runtime sanitizer (installed by repro.analysis.sanitizer.sanitize; None =
-# zero-overhead fast path).  Checks every tape-node creation and every
-# gradient accumulation for NaN/Inf, dtype drift, and broadcast surprises.
-_SANITIZER = None
+# Op whose backward closure is running (only tracked while observers are
+# installed) — lets Observer.on_grad attribute a gradient to its maker.
+_BACKWARD_OP: Optional[str] = None
 
 
-def set_sanitizer(sanitizer):
-    """Install (or clear, with None) the engine-level runtime sanitizer.
+class Observer:
+    """Base class for engine observers; every event is a no-op here.
 
-    Returns the previous sanitizer so nested ``sanitize()`` blocks can
-    restore it.
+    Subclasses override only the events they use and are installed with
+    :func:`observe`.  The protocol is described once, in
+    docs/observability.md ("Engine observers").
     """
-    global _SANITIZER
-    previous = _SANITIZER
-    _SANITIZER = sanitizer
-    return previous
+
+    def on_op(self, op: str, data: np.ndarray, parents: Tuple["Tensor", ...], out: "Tensor") -> None:
+        """Every op output, taped or not.  ``data`` is the raw kernel
+        result (before ``Tensor`` casts it); ``out.requires_grad`` is true
+        exactly when the op was taped."""
+
+    def on_grad(self, op: str, grad: np.ndarray, producer: Optional[str]) -> None:
+        """Every gradient accumulated into the output of ``op``;
+        ``producer`` is the op whose backward sent it (None for the seed)."""
+
+    def on_backward(self, node: "Tensor") -> None:
+        """After each backward node's closure has run."""
+
+    def on_sequence(self, op: str, data: np.ndarray, time_axis: int) -> None:
+        """A fused scan's whole output, before its ``on_op`` event."""
+
+    def on_arena_checkout(self, key: tuple, buf: np.ndarray) -> None:
+        """A :class:`~repro.tensor.arena.BufferArena` slot was checked out."""
+
+    def on_arena_release(self, key: tuple, buf: np.ndarray) -> None:
+        """An arena slot's checkout ended."""
+
+    def on_plan_access(self, key, value) -> None:
+        """A :class:`~repro.tensor.cache.PlanCache` hit."""
+
+    def on_plan_insert(self, key, value) -> None:
+        """A freshly built (and frozen) plan entered the cache."""
+
+    def on_plan_evict(self, key, value) -> None:
+        """A plan left the cache (FIFO eviction or invalidation)."""
 
 
-def get_sanitizer():
-    """The currently installed sanitizer, or None when disabled."""
-    return _SANITIZER
+@contextlib.contextmanager
+def observe(observer: Observer):
+    """Install ``observer`` for the block.
 
-
-def set_profile_hooks(
-    tape_hook: Optional[Callable[[str], None]] = None,
-    backward_hook: Optional[Callable[[str, float], None]] = None,
-) -> None:
-    """Install (or clear, with None) the engine-level profiling hooks."""
-    global _TAPE_HOOK, _BACKWARD_HOOK
-    _TAPE_HOOK = tape_hook
-    _BACKWARD_HOOK = backward_hook
-
-
-def set_op_hook(
-    hook: Optional[Callable[[str, np.ndarray, bool], None]],
-) -> Optional[Callable[[str, np.ndarray, bool], None]]:
-    """Install (or clear, with None) the engine-level op hook.
-
-    The hook fires on every :meth:`Tensor._make` call — including
-    inference-mode forwards that record zero tape nodes — with
-    ``(op, out_data, taped)``.  Returns the previous hook so nested
-    profiling scopes can restore it (same pattern as the sanitizer).
+    Nestable and order-independent: on exit — normal or by exception —
+    exactly this observer is removed, whatever else was installed since.
     """
-    global _OP_HOOK
-    previous = _OP_HOOK
-    _OP_HOOK = hook
-    return previous
+    global _OBSERVERS
+    _OBSERVERS = _OBSERVERS + (observer,)
+    try:
+        yield observer
+    finally:
+        _OBSERVERS = tuple(o for o in _OBSERVERS if o is not observer)
+
+
+def observers() -> Tuple[Observer, ...]:
+    """The installed observers, in install order (empty when none)."""
+    return _OBSERVERS
+
+
+def emit_sequence(op: str, data: np.ndarray, time_axis: int = 1) -> None:
+    """Report a fused scan's output for per-timestep checks."""
+    for observer in _OBSERVERS:
+        observer.on_sequence(op, data, time_axis)
 
 
 def is_grad_enabled() -> bool:
@@ -129,8 +145,8 @@ def inference_mode():
     The *outermost* exit is an ownership boundary: every arena checkout is
     released, so an array that leaked out of the block is flagged as a
     use-after-release by the alias sanitizer on its next engine use
-    (:mod:`repro.analysis.alias`).  With no sanitizer installed the
-    release is a single attribute test — the fast path stays free.
+    (:mod:`repro.analysis.alias`).  With no observer installed the
+    release is a single emptiness test — the fast path stays free.
     """
     global _GRAD_ENABLED, _INFERENCE_MODE
     prev_grad, prev_inf = _GRAD_ENABLED, _INFERENCE_MODE
@@ -295,9 +311,13 @@ class Tensor:
         data: np.ndarray,
         parents: Iterable["Tensor"],
         op: str,
-        backward: Callable[[np.ndarray], None],
+        backward: Optional[Callable[[np.ndarray], None]],
     ) -> "Tensor":
-        """Build an op output, wiring the tape only when grad is enabled."""
+        """Build an op output, wiring the tape only when grad is enabled.
+
+        The one emit point of the engine: every kernel output — taped or
+        tape-free — is reported to the installed observers here.
+        """
         parents = tuple(parents)
         needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
@@ -307,14 +327,9 @@ class Tensor:
             out._parents = parents
             out._op = op
             out._backward = backward
-            if _TAPE_HOOK is not None:
-                _TAPE_HOOK(op)
-        if _OP_HOOK is not None:
-            _OP_HOOK(op, data, needs_grad)
-        if _SANITIZER is not None:
-            # check the raw op output: Tensor.__init__ silently casts to
-            # float64, which would hide dtype drift from the sanitizer
-            _SANITIZER.check_forward(op, data, parents)
+        if _OBSERVERS:
+            for observer in _OBSERVERS:
+                observer.on_op(op, data, parents, out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -328,8 +343,9 @@ class Tensor:
         re-accumulation allocates and every later one is in place.
         """
         incoming = np.asarray(grad)
-        if _SANITIZER is not None:
-            _SANITIZER.check_grad(self._op or "leaf", incoming)
+        if _OBSERVERS:
+            for observer in _OBSERVERS:
+                observer.on_grad(self._op or "leaf", incoming, _BACKWARD_OP)
         g = incoming if incoming.dtype == self.data.dtype else incoming.astype(self.data.dtype)
         g = unbroadcast(g, self.data.shape)
         if self.grad is None:
@@ -373,22 +389,12 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(seed)
-        hook = _BACKWARD_HOOK
-        sanitizer = _SANITIZER
+        if _OBSERVERS:
+            _observed_backward(topo)
+            return
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                if sanitizer is not None:
-                    # lets the sanitizer attribute a bad gradient to the op
-                    # whose backward closure manufactured it
-                    sanitizer.current_producer = node._op
-                if hook is None:
-                    node._backward(node.grad)
-                else:
-                    start = perf_counter()
-                    node._backward(node.grad)
-                    hook(node._op, perf_counter() - start)
-        if sanitizer is not None:
-            sanitizer.current_producer = None
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # arithmetic — implemented here, richer ops live in functional.py
@@ -648,3 +654,18 @@ class Tensor:
         from repro.tensor import functional as F
 
         return F.clip(self, low, high)
+
+
+def _observed_backward(topo: list) -> None:
+    """The backward loop with observers installed: tracks the running op
+    for :meth:`Observer.on_grad` and reports each node once it has run."""
+    global _BACKWARD_OP
+    try:
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                _BACKWARD_OP = node._op
+                node._backward(node.grad)
+                for observer in _OBSERVERS:
+                    observer.on_backward(node)
+    finally:
+        _BACKWARD_OP = None

@@ -26,7 +26,7 @@ from repro.analysis.alias import (
     alias_guard,
 )
 from repro.analysis.sanitizer import TensorSanitizerError, sanitize
-from repro.tensor import Tensor, get_arena, inference_mode, plan_cache
+from repro.tensor import Tensor, get_arena, inference_mode
 from repro.tensor import tensor as tensor_mod
 from repro.tensor.arena import BufferArena
 from repro.tensor.cache import PlanCache
@@ -46,7 +46,8 @@ def _conformer_and_batch(seed: int = 0):
 
 
 def _fresh_pair():
-    """Private arena + cache so tests never pollute the process-wide ones."""
+    """Private arena + cache so tests never pollute the process-wide ones
+    (every arena and plan cache reports to the installed observers)."""
     return BufferArena(), PlanCache()
 
 
@@ -55,9 +56,9 @@ def _fresh_pair():
 # ----------------------------------------------------------------------
 class TestUseAfterRelease:
     def test_released_buffer_in_op_is_reported(self):
-        arena, cache = _fresh_pair()
+        arena, _ = _fresh_pair()
         with pytest.raises(AliasError) as exc_info:
-            with alias_guard(arena=arena, cache=cache):
+            with alias_guard():
                 buf = arena.get("test.uar", (4, 4), np.float64)
                 buf[:] = 1.0
                 arena.release("test.")
@@ -69,9 +70,9 @@ class TestUseAfterRelease:
         assert finding.op == "add"
 
     def test_view_of_released_buffer_is_reported(self):
-        arena, cache = _fresh_pair()
+        arena, _ = _fresh_pair()
         with pytest.raises(AliasError) as exc_info:
-            with alias_guard(arena=arena, cache=cache):
+            with alias_guard():
                 buf = arena.get("test.view", (4, 4), np.float64)
                 buf[:] = 1.0
                 view = buf[1:, :]  # .base chain leads to the tracked buffer
@@ -80,8 +81,8 @@ class TestUseAfterRelease:
         assert exc_info.value.finding.rule_id == RULE_USE_AFTER_RELEASE
 
     def test_release_poisons_float_buffers(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache):
+        arena, _ = _fresh_pair()
+        with alias_guard():
             buf = arena.get("test.poison", (8,), np.float64)
             buf[:] = 3.0
             arena.release("test.")
@@ -89,8 +90,8 @@ class TestUseAfterRelease:
 
     def test_checkout_after_release_is_clean(self):
         """Re-checking out a released slot is the designed reuse, not a bug."""
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache) as guard:
+        arena, _ = _fresh_pair()
+        with alias_guard() as guard:
             first = arena.get("test.reuse", (4,), np.float64)
             arena.release("test.")
             again = arena.get("test.reuse", (4,), np.float64)
@@ -129,9 +130,8 @@ class TestPlanWriteTrap:
 
     def test_rearmed_write_is_caught_on_access(self):
         _, cache = _fresh_pair()
-        arena, _ = _fresh_pair()
         with pytest.raises(AliasError) as exc_info:
-            with alias_guard(arena=arena, cache=cache):
+            with alias_guard():
                 mask = cache.get(("mask", 4), lambda: np.ones((4, 4)))
                 mask.setflags(write=True)  # the seeded bug: dodge the freeze
                 mask[0, 0] = 99.0
@@ -141,8 +141,8 @@ class TestPlanWriteTrap:
         assert "('mask', 4)" in finding.detail["plan_key"]
 
     def test_mutation_after_last_access_is_caught_at_guard_exit(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache, raise_on_error=False) as guard:
+        _, cache = _fresh_pair()
+        with alias_guard(raise_on_error=False) as guard:
             table = cache.get(("tbl", 2), lambda: np.zeros(2))
             table.setflags(write=True)
             table[0] = 1.0  # never accessed again inside the block
@@ -150,8 +150,8 @@ class TestPlanWriteTrap:
         assert "at guard exit" in guard.findings[0].message
 
     def test_rearming_writeable_alone_is_reported(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache, raise_on_error=False) as guard:
+        _, cache = _fresh_pair()
+        with alias_guard(raise_on_error=False) as guard:
             mask = cache.get(("flag", 3), lambda: np.ones(3))
             mask.setflags(write=True)  # re-armed but not (yet) written
             cache.get(("flag", 3), lambda: np.ones(3))
@@ -162,7 +162,7 @@ class TestPlanWriteTrap:
 
     def test_evicted_plans_are_untracked(self):
         arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache, raise_on_error=False) as guard:
+        with alias_guard(raise_on_error=False) as guard:
             doomed = cache.get(("gone", 1), lambda: np.ones(1))
             cache.invalidate()
             doomed.setflags(write=True)
@@ -175,9 +175,9 @@ class TestPlanWriteTrap:
 # ----------------------------------------------------------------------
 class TestTapePinning:
     def test_taped_op_on_live_arena_buffer_is_reported(self):
-        arena, cache = _fresh_pair()
+        arena, _ = _fresh_pair()
         with pytest.raises(AliasError) as exc_info:
-            with alias_guard(arena=arena, cache=cache):
+            with alias_guard():
                 buf = arena.get("test.taped", (4,), np.float64)
                 buf[:] = 1.0
                 weight = Tensor(np.ones(4), requires_grad=True)
@@ -187,8 +187,8 @@ class TestTapePinning:
         assert finding.detail["arena_tag"] == "test.taped"
 
     def test_untaped_use_of_live_buffer_is_clean(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache) as guard:
+        arena, _ = _fresh_pair()
+        with alias_guard() as guard:
             buf = arena.get("test.ok", (4,), np.float64)
             buf[:] = 1.0
             with inference_mode():
@@ -209,9 +209,9 @@ class _EventLogger:
 
 class TestReportingAndLayering:
     def test_findings_mirror_as_obs_anomalies(self):
-        arena, cache = _fresh_pair()
+        arena, _ = _fresh_pair()
         logger = _EventLogger()
-        with alias_guard(logger=logger, raise_on_error=False, arena=arena, cache=cache):
+        with alias_guard(logger=logger, raise_on_error=False):
             buf = arena.get("test.obs", (2,), np.float64)
             arena.release("test.")
             Tensor(buf).relu()
@@ -223,12 +223,13 @@ class TestReportingAndLayering:
         assert fields["arena_tag"] == "test.obs"
 
     def test_sanitize_alias_layers_over_numeric_checks(self):
-        """``sanitize(alias=True)`` runs both sanitizers: numeric findings
-        still raise through the delegating alias guard."""
+        """``sanitize(alias=True)`` installs both sanitizers side by side:
+        numeric findings still raise with the alias guard installed."""
         with pytest.raises(TensorSanitizerError), np.errstate(divide="ignore"):
             with sanitize(alias=True) as sanitizer:
-                assert isinstance(tensor_mod.get_sanitizer(), AliasSanitizer)
-                assert sanitizer.alias is not None
+                installed = tensor_mod.observers()
+                assert [type(o) for o in installed] == [AliasSanitizer, type(sanitizer)]
+                assert sanitizer.alias is installed[0]
                 Tensor(np.array([1.0, 0.0])) / Tensor(np.array([0.0, 1.0]))
 
     def test_sanitize_alias_catches_ownership_bugs_too(self):
@@ -242,19 +243,15 @@ class TestReportingAndLayering:
         arena.clear()
 
     def test_guard_restores_all_hooks(self):
-        arena, cache = _fresh_pair()
-        assert tensor_mod.get_sanitizer() is None
-        with alias_guard(arena=arena, cache=cache):
-            assert arena._alias_hook is not None
-            assert cache._alias_hook is not None
-            assert tensor_mod.get_sanitizer() is not None
-        assert arena._alias_hook is None
-        assert cache._alias_hook is None
-        assert tensor_mod.get_sanitizer() is None
+        """The guard lives in the one observer slot, and only while open."""
+        assert tensor_mod.observers() == ()
+        with alias_guard() as guard:
+            assert tensor_mod.observers() == (guard,)
+        assert tensor_mod.observers() == ()
 
     def test_collect_mode_summary(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache, raise_on_error=False) as guard:
+        arena, _ = _fresh_pair()
+        with alias_guard(raise_on_error=False) as guard:
             buf = arena.get("test.sum", (2,), np.float64)
             arena.release("test.")
             Tensor(buf).relu()
@@ -262,8 +259,7 @@ class TestReportingAndLayering:
         assert RULE_USE_AFTER_RELEASE in guard.summary()
 
     def test_clean_summary(self):
-        arena, cache = _fresh_pair()
-        with alias_guard(arena=arena, cache=cache) as guard:
+        with alias_guard() as guard:
             Tensor(np.ones(3)).sum()
         assert "clean" in guard.summary()
 

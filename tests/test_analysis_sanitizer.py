@@ -143,18 +143,18 @@ class TestFlowHeadInjection:
 
 class TestLifecycle:
     def test_nesting_restores_previous_sanitizer(self):
-        assert engine.get_sanitizer() is None
+        assert engine.observers() == ()
         with sanitize(raise_on_error=False) as outer:
             with sanitize(raise_on_error=False) as inner:
-                assert engine.get_sanitizer() is inner
-            assert engine.get_sanitizer() is outer
-        assert engine.get_sanitizer() is None
+                assert engine.observers() == (outer, inner)
+            assert engine.observers() == (outer,)
+        assert engine.observers() == ()
 
     def test_hook_restored_when_body_raises(self):
         with pytest.raises(TensorSanitizerError):
             with sanitize():
                 Tensor(np.array([-1.0]), requires_grad=True).log()
-        assert engine.get_sanitizer() is None
+        assert engine.observers() == ()
 
     def test_max_findings_caps_collection(self):
         with sanitize(raise_on_error=False, max_findings=2) as san:

@@ -20,9 +20,12 @@ import numpy as np
 import pytest
 
 from repro.nn import GRUCell, LSTMCell, SlidingWindowAttention
-from repro.perf import OpProfiler, StageTimer, profile
+from repro.obs import Tracer
+from repro.perf import op_profile
 from repro.perf.bench import run_autodiff_benchmark, write_bench_json
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, tape_node_count
+from repro.tensor import tensor as tensor_mod
+from repro.tensor.profiler import EngineProfiler
 from repro.training import PROFILES
 
 RNG = np.random.default_rng(202)
@@ -31,9 +34,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _tape_nodes(fn) -> int:
-    with profile() as prof:
-        fn()
-    return prof.total_nodes
+    before = tape_node_count()
+    fn()
+    return tape_node_count() - before
 
 
 @pytest.mark.perf
@@ -111,59 +114,61 @@ class TestFusedUnfusedParity:
 @pytest.mark.perf
 class TestProfilerMachinery:
     def test_op_profiler_counts_and_times(self):
-        with profile() as prof:
+        with op_profile() as prof:
             a = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
             b = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
             ((a @ b).relu().sum()).backward()
-        assert prof.tape_counts["matmul"] == 1
-        assert prof.total_nodes >= 3
-        assert prof.total_backward_seconds >= 0.0
-        assert "matmul" in dict((op, n) for op, n, _ in prof.top_ops(5))
+        per_op = prof.per_op()
+        assert per_op["matmul"]["taped"] == 1
+        assert prof.taped_nodes >= 3
+        assert per_op["matmul"]["backward_seconds"] > 0.0
+        assert prof.backward_seconds >= per_op["matmul"]["backward_seconds"]
+        assert "matmul" in {row["op"] for row in prof.top_ops(5)}
         assert "matmul" in prof.summary()
 
     def test_profile_hooks_restore_cleanly(self):
-        outer = OpProfiler()
-        with profile() as prof:
+        outer = EngineProfiler()
+        with op_profile() as prof:
             Tensor(np.ones(3), requires_grad=True).sum().backward()
+        assert tensor_mod.observers() == ()
         # after the context, fresh graphs are not recorded anywhere
-        before = prof.total_nodes
+        before = prof.taped_nodes
         Tensor(np.ones(3), requires_grad=True).sum().backward()
-        assert prof.total_nodes == before
-        assert outer.total_nodes == 0
+        assert prof.taped_nodes == before
+        assert outer.taped_nodes == 0
 
     def test_profile_hooks_uninstall_when_body_raises(self):
-        from repro.tensor import tensor as tensor_mod
-
-        assert tensor_mod._TAPE_HOOK is None and tensor_mod._BACKWARD_HOOK is None
+        assert tensor_mod.observers() == ()
         with pytest.raises(RuntimeError):
-            with profile() as prof:
+            with op_profile() as prof:
                 Tensor(np.ones(3), requires_grad=True).sum().backward()
                 raise RuntimeError("body failed")
-        assert tensor_mod._TAPE_HOOK is None, "tape hook leaked after exception"
-        assert tensor_mod._BACKWARD_HOOK is None, "backward hook leaked after exception"
+        assert tensor_mod.observers() == (), "profiler leaked after exception"
         # the aborted profiler saw its block; new work is not recorded
-        nodes_at_raise = prof.total_nodes
+        nodes_at_raise = prof.taped_nodes
         assert nodes_at_raise > 0
         Tensor(np.ones(3), requires_grad=True).sum().backward()
-        assert prof.total_nodes == nodes_at_raise
+        assert prof.taped_nodes == nodes_at_raise
 
     def test_nested_profiles_restore_outer_hooks(self):
-        with profile() as outer_prof:
+        with op_profile() as outer_prof:
             Tensor(np.ones(2), requires_grad=True).sum().backward()
             with pytest.raises(ValueError):
-                with profile():
+                with op_profile():
                     raise ValueError("inner failure")
-            # inner teardown must restore the *outer* hooks, not None
+            # inner teardown must leave the *outer* profiler installed
+            assert tensor_mod.observers() == (outer_prof,)
             Tensor(np.ones(2), requires_grad=True).sum().backward()
-        assert outer_prof.tape_counts["sum"] == 2
+        assert outer_prof.per_op()["sum"]["taped"] == 2
+        assert tensor_mod.observers() == ()
 
-    def test_stage_timer(self):
-        timer = StageTimer()
-        with timer.section("alpha"):
+    def test_flat_tracer_sections(self):
+        timer = Tracer(flat=True)
+        with timer.span("alpha"):
             pass
-        with timer.section("alpha"):
+        with timer.span("alpha"):
             pass
-        with timer.section("beta"):
+        with timer.span("beta"):
             pass
         stats = timer.as_dict()
         assert stats["alpha"]["calls"] == 2
@@ -180,18 +185,15 @@ class TestSanitizerZeroOverheadWhenOff:
         ((x @ x).relu().sum()).backward()
 
     def test_sanitizer_hook_is_none_by_default(self):
-        from repro.tensor import tensor as tensor_mod
-
-        assert tensor_mod._SANITIZER is None
+        assert tensor_mod.observers() == ()
 
     def test_disabled_mode_records_identical_tape(self):
         from repro.analysis import sanitize
-        from repro.tensor import tensor as tensor_mod
 
         baseline = _tape_nodes(self._work)
         with sanitize():
-            self._work()  # checked run — same graph, hook installed
-        assert tensor_mod._SANITIZER is None, "sanitize() leaked its hook"
+            self._work()  # checked run — same graph, observer installed
+        assert tensor_mod.observers() == (), "sanitize() leaked its observer"
         assert _tape_nodes(self._work) == baseline
 
     def test_fused_step_graph_unchanged_after_sanitized_run(self):

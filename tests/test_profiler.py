@@ -24,10 +24,9 @@ from repro.nn import Linear, Module
 from repro.obs import chrome_trace, load_jsonl, load_run, render_report, run_logger
 from repro.obs.trace import OP_TID, SPAN_TID, write_chrome_trace
 from repro.perf import op_profile
-from repro.perf.opprof import OP_PROFILE_SCHEMA
-from repro.tensor import Tensor, inference_mode
+from repro.tensor import Tensor, inference_mode, tape_node_count
 from repro.tensor import tensor as tensor_mod
-from repro.tensor.profiler import ROOT_MODULE
+from repro.tensor.profiler import OP_PROFILE_SCHEMA, ROOT_MODULE
 
 RNG = np.random.default_rng(404)
 
@@ -57,7 +56,7 @@ class TestOpProfile:
             a = Tensor(RNG.normal(size=(8, 8)), requires_grad=True)
             b = Tensor(RNG.normal(size=(8, 8)), requires_grad=True)
             (a @ b).relu().sum()
-        per_op = prof.engine.per_op()
+        per_op = prof.per_op()
         assert per_op["matmul"]["calls"] == 1
         assert per_op["relu"]["calls"] == 1
         assert prof.total_calls >= 3
@@ -70,7 +69,7 @@ class TestOpProfile:
         model = TinyNet()
         with op_profile(model) as prof:
             _forward(model)
-        modules = prof.engine.per_module()
+        modules = prof.per_module()
         # matmul/add happen inside the Linears; relu in the root forward
         assert "fc1" in modules and "fc2" in modules
         labelled = {(r["module"], r["op"]) for r in prof.rows()}
@@ -89,12 +88,12 @@ class TestOpProfile:
         assert _forward(model).shape == (3, 2)
 
     def test_hook_uninstalls_cleanly_even_on_error(self):
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod.observers() == ()
         with pytest.raises(RuntimeError):
             with op_profile():
                 _forward()
                 raise RuntimeError("body failed")
-        assert tensor_mod._OP_HOOK is None, "op hook leaked after exception"
+        assert tensor_mod.observers() == (), "profiler leaked after exception"
 
     def test_nested_profiles_restore_outer_hook(self):
         with op_profile() as outer:
@@ -104,16 +103,16 @@ class TestOpProfile:
                 _forward()
             assert inner.total_calls > 0
             _forward()
-        # outer kept recording after the inner context restored its hook
+        # outer kept recording after the inner context removed itself
         assert outer.total_calls > calls_before
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod.observers() == ()
 
     def test_timeline_capacity_bounds_events_not_aggregates(self):
         with op_profile(timeline_capacity=4) as prof:
             for _ in range(3):
                 _forward()
         assert len(prof.timeline()) == 4
-        assert prof.engine.dropped_events == prof.total_calls - 4
+        assert prof.dropped_events == prof.total_calls - 4
         assert prof.total_calls > 4  # aggregates saw every op
 
 
@@ -145,19 +144,19 @@ class TestMemoryAccounting:
     def test_live_bytes_drop_when_the_graph_is_freed(self):
         with op_profile() as prof:
             out = _forward()
-        assert prof.engine.live_bytes > 0
+        assert prof.live_bytes > 0
         del out
         gc.collect()
-        assert prof.engine.live_bytes == 0
+        assert prof.live_bytes == 0
         # cumulative counters are unaffected by frees
-        assert prof.engine.peak_bytes > 0
+        assert prof.peak_bytes > 0
         assert prof.total_bytes > 0
 
     def test_track_live_false_skips_weakrefs(self):
         with op_profile(track_live=False) as prof:
             _forward()
-        assert prof.engine.live_bytes == 0
-        assert prof.engine.peak_bytes == 0
+        assert prof.live_bytes == 0
+        assert prof.peak_bytes == 0
         assert prof.total_bytes > 0
 
 
@@ -172,21 +171,19 @@ class TestProfilerZeroOverheadWhenOff:
         ((x @ x).relu().sum()).backward()
 
     def _tape_nodes(self) -> int:
-        from repro.perf import profile
-
-        with profile() as prof:
-            self._work()
-        return prof.total_nodes
+        before = tape_node_count()
+        self._work()
+        return tape_node_count() - before
 
     def test_op_hook_is_none_by_default(self):
-        assert tensor_mod._OP_HOOK is None
+        assert tensor_mod.observers() == ()
 
     def test_disabled_mode_records_identical_tape(self):
         baseline = self._tape_nodes()
         with op_profile() as prof:
-            self._work()  # profiled run — same graph, hook installed
+            self._work()  # profiled run — same graph, observer installed
         assert prof.total_calls > 0
-        assert tensor_mod._OP_HOOK is None, "op_profile() leaked its hook"
+        assert tensor_mod.observers() == (), "op_profile() leaked its observer"
         assert self._tape_nodes() == baseline
 
     def test_profiler_does_not_perturb_op_outputs(self):

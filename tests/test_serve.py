@@ -146,47 +146,53 @@ class TestMicroBatcher:
 class TestForecastCache:
     def test_lru_eviction_order_respects_recency(self):
         cache = ForecastCache(capacity=2)
-        cache.put("v1", "a", 4, np.zeros(4))
-        cache.put("v1", "b", 4, np.ones(4))
-        assert cache.get("v1", "a", 4) is not None  # refresh "a"
-        cache.put("v1", "c", 4, np.full(4, 2.0))  # evicts "b", the LRU
-        assert cache.get("v1", "b", 4) is None
-        assert cache.get("v1", "a", 4) is not None
-        assert cache.get("v1", "c", 4) is not None
+        cache.put("v1", "a", 4, 48, np.zeros(4))
+        cache.put("v1", "b", 4, 48, np.ones(4))
+        assert cache.get("v1", "a", 4, 48) is not None  # refresh "a"
+        cache.put("v1", "c", 4, 48, np.full(4, 2.0))  # evicts "b", the LRU
+        assert cache.get("v1", "b", 4, 48) is None
+        assert cache.get("v1", "a", 4, 48) is not None
+        assert cache.get("v1", "c", 4, 48) is not None
         assert cache.stats()["evictions"] == 1
 
     def test_invalidate_series_drops_every_horizon_and_version(self):
         cache = ForecastCache(capacity=8)
-        cache.put("v1", "a", 4, np.zeros(4))
-        cache.put("v1", "a", 2, np.zeros(2))
-        cache.put("v2", "a", 4, np.zeros(4))
-        cache.put("v1", "b", 4, np.zeros(4))
+        cache.put("v1", "a", 4, 48, np.zeros(4))
+        cache.put("v1", "a", 2, 48, np.zeros(2))
+        cache.put("v2", "a", 4, 48, np.zeros(4))
+        cache.put("v1", "b", 4, 48, np.zeros(4))
         assert cache.invalidate_series("a") == 3
-        assert cache.get("v1", "a", 4) is None
-        assert cache.get("v1", "b", 4) is not None
+        assert cache.get("v1", "a", 4, 48) is None
+        assert cache.get("v1", "b", 4, 48) is not None
 
     def test_invalidate_version_drops_only_that_version(self):
         cache = ForecastCache(capacity=8)
-        cache.put("v1", "a", 4, np.zeros(4))
-        cache.put("v2", "a", 4, np.ones(4))
+        cache.put("v1", "a", 4, 48, np.zeros(4))
+        cache.put("v2", "a", 4, 48, np.ones(4))
         assert cache.invalidate_version("v1") == 1
-        assert cache.get("v1", "a", 4) is None
-        np.testing.assert_array_equal(cache.get("v2", "a", 4), np.ones(4))
+        assert cache.get("v1", "a", 4, 48) is None
+        np.testing.assert_array_equal(cache.get("v2", "a", 4, 48), np.ones(4))
 
     def test_entries_are_frozen_copies(self):
         cache = ForecastCache(capacity=2)
         source = np.zeros(4)
-        stored = cache.put("v1", "a", 4, source)
+        stored = cache.put("v1", "a", 4, 48, source)
         source[:] = 99.0
-        np.testing.assert_array_equal(cache.get("v1", "a", 4), np.zeros(4))
+        np.testing.assert_array_equal(cache.get("v1", "a", 4, 48), np.zeros(4))
         with pytest.raises(ValueError):
             stored[0] = 1.0  # read-only view: a client cannot poison the cache
 
+    def test_history_length_is_part_of_the_key(self):
+        cache = ForecastCache(capacity=4)
+        cache.put("v1", "a", 4, 48, np.zeros(4))
+        assert cache.get("v1", "a", 4, 49) is None, "a longer history is a different forecast"
+        assert cache.get("v1", "a", 4, 48) is not None
+
     def test_hit_rate_accounting(self):
         cache = ForecastCache(capacity=4)
-        assert cache.get("v1", "a", 4) is None
-        cache.put("v1", "a", 4, np.zeros(4))
-        assert cache.get("v1", "a", 4) is not None
+        assert cache.get("v1", "a", 4, 48) is None
+        cache.put("v1", "a", 4, 48, np.zeros(4))
+        assert cache.get("v1", "a", 4, 48) is not None
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
@@ -314,6 +320,28 @@ class TestForecastServer:
         server.ingest("s0", np.zeros((1, N_DIMS)))
         assert not server.forecast("s0").cached, "history changed -> recompute"
         assert server.forecast("s1").cached, "untouched series stays cached"
+
+    def test_ingest_during_forward_never_caches_the_old_history(self):
+        """A forward that reads its window before an ingest and delivers
+        after it must not be served later as a hit for the new history."""
+        server = self.make_server()
+        version = server.registry.current()
+        forecast_batch = version.forecast_batch
+
+        def racing_forecast_batch(*args, **kwargs):
+            out = forecast_batch(*args, **kwargs)
+            server.ingest("s0", np.full((1, N_DIMS), 3.0))  # lands mid-request
+            return out
+
+        version.forecast_batch = racing_forecast_batch
+        stale = server.forecast("s0")
+        version.forecast_batch = forecast_batch
+        fresh = server.forecast("s0")
+        assert not fresh.cached, "forecast of the pre-ingest history served as a hit"
+        assert not np.array_equal(fresh.forecast, stale.forecast)
+        again = server.forecast("s0")
+        assert again.cached
+        np.testing.assert_array_equal(again.forecast, fresh.forecast)
 
     def test_hot_swap_serves_new_version_and_invalidates_old(self):
         server = self.make_server()
