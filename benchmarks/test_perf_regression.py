@@ -1,5 +1,5 @@
 """Perf regression guards for the fused autodiff kernels and the
-tape-free inference fast path.
+inference fast path.
 
 Runs the canonical GRU-heavy Conformer training-step benchmark
 (:mod:`repro.perf.bench`) with fused kernels on and off, asserts the
@@ -67,8 +67,6 @@ def test_inference_fast_path_speedup():
         # float32 stays within the documented agreement envelope
         assert entry["fast_path"]["prediction_dtype"] == "float32"
         assert entry["float32_max_abs_diff"] < 1e-4
-    # scratch actually got recycled: hits dominate misses across the run
-    assert result["arena"]["hits"] > result["arena"]["misses"]
     assert result["plan_cache"]["hits"] > result["plan_cache"]["misses"]
 
 

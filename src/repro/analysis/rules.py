@@ -32,9 +32,10 @@ The rules encode this repo's correctness invariants:
     fast path — take the dtype from the input or
     :func:`repro.tensor.get_default_dtype`.
 ``inference-mode-required``
-    Predict/evaluate/sample paths must use the tape-free
-    :func:`repro.tensor.inference_mode` fast path, not bare ``no_grad``
-    (which still takes the activation-saving kernel branches).
+    Predict/evaluate/sample paths must use
+    :func:`repro.tensor.inference_mode`, not bare ``no_grad``: the kernels
+    are the same, but only ``inference_mode`` is an ownership boundary
+    whose outermost exit ends every arena checkout.
 ``noqa-unused``
     A ``# repro: noqa`` comment whose rule no longer fires on that line
     is a silent blind spot waiting for the next regression; the lint
@@ -358,9 +359,8 @@ class InferenceModeRequired(Rule):
                     if self._is_no_grad_call(item.context_expr):
                         yield self.finding(
                             ctx, item.context_expr,
-                            f"{node.name}() is a forward-only path: no_grad() still takes "
-                            "the activation-saving kernel branches; use "
-                            "repro.tensor.inference_mode()",
+                            f"{node.name}() is a forward-only path: no_grad() is no arena "
+                            "ownership boundary; use repro.tensor.inference_mode()",
                         )
 
 

@@ -25,17 +25,13 @@ from typing import Optional
 import numpy as np
 
 from repro.nn import Conv1d, Linear, Module, ModuleList, Parameter, init
-from repro.tensor import Tensor, functional as F, get_arena, is_inference_mode
+from repro.tensor import Tensor, functional as F
 
 VARIANTS = ("full", "-gamma", "-r", "-r-gamma", "-x", "-x-gamma")
 
 
 def multivariate_correlation_weights(x: np.ndarray) -> np.ndarray:
     """Eqs. (1)-(2): softmax over variables of the FFT auto-correlation.
-
-    Under :func:`repro.tensor.inference_mode` the correlation/softmax
-    chain runs in place on one recycled arena buffer (the result stays in
-    the buffer too — callers consume it within the same forward).
 
     Parameters
     ----------
@@ -47,20 +43,12 @@ def multivariate_correlation_weights(x: np.ndarray) -> np.ndarray:
     """
     spectrum = np.fft.rfft(x, axis=1)
     corr = np.fft.irfft(spectrum * np.conj(spectrum), n=x.shape[1], axis=1)
-    if is_inference_mode():
-        w = get_arena().get("input_repr.corr", corr.shape, corr.dtype)
-        np.divide(corr, max(x.shape[1], 1), out=w)
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        # deliberate ownership exception (documented above): the caller
-        # consumes these weights inside the same forward, before the next
-        # checkout of this slot can recycle the buffer
-        return w  # repro: noqa[dataflow-arena-escape]
-    corr = corr / max(x.shape[1], 1)
-    shifted = corr - corr.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    # softmax in place on the fresh irfft output: no further temporaries
+    corr /= max(x.shape[1], 1)
+    corr -= corr.max(axis=-1, keepdims=True)
+    np.exp(corr, out=corr)
+    corr /= corr.sum(axis=-1, keepdims=True)
+    return corr
 
 
 class MultiscaleDynamics(Module):

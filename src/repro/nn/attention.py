@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.contracts.spec import shape_contract
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor, functional as F, get_arena, get_default_dtype, is_inference_mode, plan_cache
+from repro.tensor import Tensor, functional as F, get_default_dtype, plan_cache
 
 _NEG_INF = -1e9
 
@@ -453,9 +453,6 @@ class AutoCorrelation(AttentionMechanism):
         mean_corr = corr.mean(axis=(1, 3))  # (B, L): average over heads & channels
         delays = np.argsort(-mean_corr, axis=-1)[:, :top_k]  # (B, top_k)
 
-        if is_inference_mode():
-            return self.dropout(self._aggregate_inference(q, k, v, delays, top_k))
-
         # -- differentiable re-computation of the selected correlations --
         weights_list = []
         rolled_values = []
@@ -473,30 +470,6 @@ class AutoCorrelation(AttentionMechanism):
             out = term if out is None else out + term
         return self.dropout(out)
 
-    @staticmethod
-    def _aggregate_inference(q: Tensor, k: Tensor, v: Tensor, delays: np.ndarray, top_k: int) -> Tensor:
-        """Tape-free delay aggregation: one arena roll buffer reused across
-        the top-k scan instead of 2*top_k fresh (B, H, L, d) tensors."""
-        qd, kd, vd = q.data, k.data, v.data
-        batch = qd.shape[0]
-        norm = qd.size // batch  # mean over heads, time, channels
-        rolled = get_arena().get("autocorr.rolled", qd.shape, qd.dtype)
-        weights = np.empty((batch, top_k), dtype=qd.dtype)
-        for j in range(top_k):
-            _roll_time_into(kd, delays[:, j], rolled)
-            weights[:, j] = np.einsum("bhld,bhld->b", qd, rolled, optimize=True) / norm
-        weights -= weights.max(axis=1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=1, keepdims=True)
-        out = np.zeros_like(qd)
-        for j in range(top_k):
-            _roll_time_into(vd, delays[:, j], rolled)
-            rolled *= weights[:, j, None, None, None]
-            out += rolled
-        # roll scratch dies with the kernel; release its checkout scope
-        get_arena().release("autocorr.")
-        return Tensor._make(out, (q, k, v), "autocorrelation", None)
-
 
 def _roll_time(x: Tensor, shifts: np.ndarray) -> Tensor:
     """Roll each batch element of (B, H, L, d) along time by its own shift."""
@@ -505,14 +478,6 @@ def _roll_time(x: Tensor, shifts: np.ndarray) -> Tensor:
     b_idx = np.arange(batch)[:, None, None]
     h_idx = np.arange(x.shape[1])[None, :, None]
     return x[b_idx, h_idx, idx[:, None, :]]
-
-
-def _roll_time_into(x: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> None:
-    """Raw-array variant of :func:`_roll_time` writing into ``out``."""
-    batch, _, length, _ = x.shape
-    base = np.arange(length)
-    for b in range(batch):
-        np.take(x[b], (base + shifts[b]) % length, axis=1, out=out[b])
 
 
 class MultiHeadAttention(Module):

@@ -9,11 +9,12 @@ GRU baseline under four arms:
   closure is never called.
 - ``fused``     — fused scan kernels, still taping (one node per scan).
 - ``no_grad``   — fused kernels under :func:`repro.tensor.no_grad`: no
-  tape, but kernels still save per-timestep activations.
+  tape, float64.
 - ``fast_path`` — :func:`repro.tensor.inference_mode` +
   :func:`repro.tensor.compute_dtype` float32 + the model cast via
-  ``Module.to_dtype``: tape-free branches, arena-recycled scratch,
-  plan-cached masks/tables, half-width arithmetic.
+  ``Module.to_dtype``: the same kernels with no tape, plan-cached
+  masks/tables and half-width arithmetic.  ``no_grad`` runs the same
+  kernels in float64, so the two arms differ by dtype alone.
 
 Results (plus the float32-vs-float64 agreement of the fast path) are
 written to ``BENCH_inference.json`` with the same machine/config envelope

@@ -5,10 +5,9 @@ reproduction: a :class:`Tensor` wrapping a numpy array, a tape-based
 ``backward()``, and a functional namespace with the operations the model
 zoo needs (matmul, softmax, convolution, FFT-based correlation, ...).
 
-Inference runs through a dedicated fast path (see docs/performance.md):
-:func:`inference_mode` disables tape bookkeeping entirely (stronger than
-:func:`no_grad` — the fused kernels also stop saving activations and
-recycle scratch via :mod:`repro.tensor.arena`), and
+Inference runs the same kernels as training (see docs/performance.md):
+:func:`inference_mode` disables tape bookkeeping like :func:`no_grad` and
+ends the arena checkouts at its outermost exit, and
 :func:`compute_dtype` switches the engine to float32 end-to-end.
 """
 

@@ -1,18 +1,17 @@
-"""Scratch-buffer arena for the tape-free inference fast path.
+"""Recycled scratch buffers with checked ownership.
 
-The fused scan kernels allocate a handful of per-timestep work buffers
-(gate pre-activations, candidate states, the running hidden state).  In
-training those must be fresh — the backward pass reads them — but inside
-``inference_mode()`` nothing outlives the loop iteration, so the kernels
-check buffers out of this arena instead and numpy's allocator drops out
-of the hot path entirely.
+A caller that fills the same large work buffer on every call checks it
+out of this arena instead of allocating it afresh; the Monte-Carlo
+sample buffer of ``Conformer.predict_with_uncertainty`` is the one user.
+The kernels do not use it: each writes its per-step results into the
+activations its backward reads, whatever the mode.
 
 Rules of engagement (enforced by convention, asserted by tests, and —
 under :func:`repro.analysis.alias.alias_guard` — checked at runtime):
 
-- Only *work* buffers that die inside the kernel may come from the arena.
-  Anything that escapes — the scan output, a returned hidden state — must
-  be freshly allocated, otherwise the next call corrupts it.
+- Only *work* buffers that die inside the caller may come from the
+  arena.  Anything that escapes — a returned forecast, a sample array —
+  must be freshly allocated, otherwise the next call corrupts it.
 - A slot is keyed by (tag, shape, dtype), so an encoder and a decoder
   sharing a tag but not a geometry each keep their own buffer instead of
   evicting one another every call.  Stale geometries (an old batch size,
@@ -20,7 +19,7 @@ under :func:`repro.analysis.alias.alias_guard` — checked at runtime):
   :meth:`clear`.
 - Buffer contents are NOT zeroed on checkout.  Callers must fully
   overwrite (``out=`` kernels, full-slice assignment) before reading.
-- A checkout is valid until the slot is *released* — by the owning kernel
+- A checkout is valid until the slot is *released* — by its owner
   (:meth:`release` with its tag prefix), by the outermost
   ``inference_mode()`` exit, or by :meth:`clear`.  Holding an array past
   its release and reading it again is a use-after-release; the alias
@@ -142,8 +141,8 @@ class BufferArena:
         return self._nbytes
 
 
-#: process-wide arena used by the fused inference kernels (the engine is
-#: single-threaded; a per-thread arena would be needed before that changes)
+#: process-wide arena (the engine is single-threaded; a per-thread arena
+#: would be needed before that changes)
 _ARENA = BufferArena()
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy import special as sp_special
 
 from repro.tensor import tensor as _engine
-from repro.tensor.arena import get_arena
 from repro.tensor.tensor import Tensor, ensure_tensor
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -486,13 +485,19 @@ def lstm_step(x_gates: Tensor, h: Tensor, c: Tensor, weight_hh: Tensor, bias_hh:
     return Tensor._make(out_data, (x_gates, h, c, weight_hh, bias_hh), "lstm_step", backward)
 
 
-def _gru_sequence_inference(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
-    """Tape-free GRU scan for ``inference_mode()``.
+def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
+    """Scan a whole GRU layer as ONE tape node.
 
-    Numerically identical to the fused training scan but saves no gate
-    activations (nothing will ever read them) and runs every per-timestep
-    kernel ``out=``-style into arena scratch.  Only the (B, L, H) output —
-    which escapes — is freshly allocated.
+    ``x_proj`` is the input projection for every timestep, (B, L, 3H);
+    ``h0`` the initial hidden state (B, H).  Returns all hidden states
+    (B, L, H).  The backward is a hand-written truncated-free BPTT over
+    saved gate activations.
+
+    One loop serves training, ``no_grad`` and ``inference_mode``: each
+    per-step kernel writes ``out=`` into the activations the backward
+    reads, so no step allocates, and every gate a step reads is
+    contiguous — reset and update gates side by side in ``rz_all``
+    (L, 2, B, H), hidden states in ``h_all`` (L+1, B, H).
     """
     batch, length, three_h = x_proj.shape
     hidden = three_h // 3
@@ -500,73 +505,30 @@ def _gru_sequence_inference(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_
     b_hh = bias_hh.data
     xp = x_proj.data
     dt = np.result_type(xp.dtype, w_hh.dtype, b_hh.dtype, h0.data.dtype)
-    out = np.empty((batch, length, hidden), dtype=dt)
-    arena = get_arena()
-    gh = arena.get("gru.gh", (batch, three_h), dt)      # recurrent gate pre-activations
-    rz = arena.get("gru.rz", (batch, 2 * hidden), dt)   # reset|update gates
-    n_buf = arena.get("gru.n", (batch, hidden), dt)     # candidate state
-    h = arena.get("gru.h", (batch, hidden), dt)         # running hidden state
-    h[...] = h0.data
-    r, z = rz[:, :hidden], rz[:, hidden:]
-    for t in range(length):
-        np.dot(h, w_hh, out=gh)
+    # saved activations for backward: reset|update gates, the recurrent
+    # pre-activations h @ W_hh + b_hh, candidate states, every hidden state
+    rz_all = np.empty((length, 2, batch, hidden), dtype=dt)
+    gh_all = np.empty((length, batch, three_h), dtype=dt)
+    n_all = np.empty((length, batch, hidden), dtype=dt)
+    h_all = np.empty((length + 1, batch, hidden), dtype=dt)
+    h_all[0] = h0.data
+    # (L, 3, B, H) views: per step, the [reset | update | candidate] blocks
+    gx_gates = xp.reshape(batch, length, 3, hidden).transpose(1, 2, 0, 3)
+    gh_gates = gh_all.reshape(length, batch, 3, hidden).transpose(0, 2, 1, 3)
+    steps = zip(h_all[:-1], h_all[1:], gh_all, gx_gates, gh_gates, rz_all, n_all)
+    for h_prev, h, gh, gx, gh3, rz, n in steps:
+        np.dot(h_prev, w_hh, out=gh)
         gh += b_hh
-        gx = xp[:, t]
-        np.add(gx[:, : 2 * hidden], gh[:, : 2 * hidden], out=rz)
+        np.add(gx[:2], gh3[:2], out=rz)
         sp_special.expit(rz, out=rz)
-        np.multiply(r, gh[:, 2 * hidden :], out=n_buf)
-        n_buf += gx[:, 2 * hidden :]
-        np.tanh(n_buf, out=n_buf)
-        # h_new = n + z * (h - n), rewritten to update h in place
-        np.subtract(h, n_buf, out=h)
-        h *= z
-        h += n_buf
-        out[:, t] = h
-    # the work buffers die here: releasing the scope lets the alias
-    # sanitizer flag any handle that leaked out of the kernel (no-op when
-    # no sanitizer is attached)
-    arena.release("gru.")
-    _engine.emit_sequence("gru_sequence", out)
-    return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", None)
-
-
-def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
-    """Scan a whole GRU layer as ONE tape node.
-
-    ``x_proj`` is the input projection for every timestep, (B, L, 3H);
-    ``h0`` the initial hidden state (B, H).  Returns all hidden states
-    (B, L, H), written into a preallocated buffer.  The backward is a
-    hand-written truncated-free BPTT over saved gate activations.
-    Inside ``inference_mode()`` a tape-free branch that retains no
-    intermediates is taken instead.
-    """
-    if _engine._INFERENCE_MODE:
-        return _gru_sequence_inference(x_proj, h0, weight_hh, bias_hh)
-    batch, length, three_h = x_proj.shape
-    hidden = three_h // 3
-    w_hh = weight_hh.data
-    b_hh = bias_hh.data
-    xp = x_proj.data
-    out = np.empty((batch, length, hidden), dtype=xp.dtype)
-    # saved activations for backward: reset/update/candidate gates, the
-    # recurrent candidate pre-activation, and every hidden state
-    r_all = np.empty((length, batch, hidden), dtype=xp.dtype)
-    z_all = np.empty_like(r_all)
-    n_all = np.empty_like(r_all)
-    nh_all = np.empty_like(r_all)
-    h_all = np.empty((length + 1, batch, hidden), dtype=xp.dtype)
-    h = h_all[0]
-    h[...] = h0.data
-    for t in range(length):
-        gh = h @ w_hh + b_hh
-        gx = xp[:, t]
-        r = sp_special.expit(gx[:, :hidden] + gh[:, :hidden])
-        z = sp_special.expit(gx[:, hidden : 2 * hidden] + gh[:, hidden : 2 * hidden])
-        nh = gh[:, 2 * hidden :]
-        n = np.tanh(gx[:, 2 * hidden :] + r * nh)
-        h = (1.0 - z) * n + z * h
-        r_all[t], z_all[t], n_all[t], nh_all[t], h_all[t + 1] = r, z, n, nh, h
-        out[:, t] = h
+        np.multiply(rz[0], gh3[2], out=n)
+        n += gx[2]
+        np.tanh(n, out=n)
+        # h = n + z * (h_prev - n)
+        np.subtract(h_prev, n, out=h)
+        h *= rz[1]
+        h += n
+    out = np.ascontiguousarray(h_all[1:].transpose(1, 0, 2))
     # a NaN born mid-scan is invisible in the single fused tape node;
     # report the first offending timestep before _make files a generic one
     _engine.emit_sequence("gru_sequence", out)
@@ -578,7 +540,7 @@ def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor)
         dh_next = np.zeros((batch, hidden), dtype=grad.dtype)
         for t in range(length - 1, -1, -1):
             dh = grad[:, t] + dh_next
-            r, z, n, nh, h_prev = r_all[t], z_all[t], n_all[t], nh_all[t], h_all[t]
+            (r, z), n, nh, h_prev = rz_all[t], n_all[t], gh_all[t, :, 2 * hidden :], h_all[t]
             dpre_n = dh * (1.0 - z) * (1.0 - n * n)
             dgh = dgh_all[t]
             dgh[:, :hidden] = dpre_n * nh * r * (1.0 - r)
@@ -603,84 +565,46 @@ def gru_sequence(x_proj: Tensor, h0: Tensor, weight_hh: Tensor, bias_hh: Tensor)
     return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", backward)
 
 
-def _lstm_sequence_inference(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
-    """Tape-free LSTM scan for ``inference_mode()`` (see GRU counterpart)."""
+def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
+    """Scan a whole LSTM layer as ONE tape node.
+
+    ``x_proj`` is (B, L, 4H); returns (B, L, 2H) with hidden states in
+    ``[..., :H]`` and cell states in ``[..., H:]`` (both needed so the
+    final ``(h, c)`` tuple stays differentiable).  One loop for every
+    mode, as in :func:`gru_sequence`: activated gates in ``gates_all``
+    (L, 4, B, H), states in ``hc_all`` (L+1, 2, B, H).
+    """
     batch, length, four_h = x_proj.shape
     hidden = four_h // 4
     w_hh = weight_hh.data
     b_hh = bias_hh.data
     xp = x_proj.data
     dt = np.result_type(xp.dtype, w_hh.dtype, b_hh.dtype, h0.data.dtype, c0.data.dtype)
-    out = np.empty((batch, length, 2 * hidden), dtype=dt)
-    arena = get_arena()
-    gates = arena.get("lstm.gates", (batch, four_h), dt)
-    tmp = arena.get("lstm.tmp", (batch, hidden), dt)
-    h = arena.get("lstm.h", (batch, hidden), dt)
-    c = arena.get("lstm.c", (batch, hidden), dt)
-    h[...] = h0.data
-    c[...] = c0.data
-    i, f = gates[:, :hidden], gates[:, hidden : 2 * hidden]
-    g, o = gates[:, 2 * hidden : 3 * hidden], gates[:, 3 * hidden :]
-    for t in range(length):
-        np.dot(h, w_hh, out=gates)
-        gates += b_hh
-        gates += xp[:, t]
-        sp_special.expit(gates[:, : 2 * hidden], out=gates[:, : 2 * hidden])
+    # saved activations for backward: input|forget|cell|output gates,
+    # tanh of every cell state, and every (hidden, cell) state pair
+    gates_all = np.empty((length, 4, batch, hidden), dtype=dt)
+    tc_all = np.empty((length, batch, hidden), dtype=dt)
+    hc_all = np.empty((length + 1, 2, batch, hidden), dtype=dt)
+    hc_all[0, 0], hc_all[0, 1] = h0.data, c0.data
+    gh = np.empty((batch, four_h), dtype=dt)  # h @ W_hh + b_hh, one step's worth
+    gh_gates = gh.reshape(batch, 4, hidden).transpose(1, 0, 2)
+    gx_gates = xp.reshape(batch, length, 4, hidden).transpose(1, 2, 0, 3)
+    steps = zip(hc_all[:-1], hc_all[1:], gx_gates, gates_all, tc_all)
+    for (h_prev, c_prev), (h, c), gx, gates, tc in steps:
+        np.dot(h_prev, w_hh, out=gh)
+        gh += b_hh
+        np.add(gx, gh_gates, out=gates)
+        i, f, g, o = gates
+        sp_special.expit(gates[:2], out=gates[:2])
         np.tanh(g, out=g)
         sp_special.expit(o, out=o)
-        # c = f * c + i * g;  h = o * tanh(c)
-        c *= f
-        np.multiply(i, g, out=tmp)
-        c += tmp
-        np.tanh(c, out=tmp)
-        np.multiply(o, tmp, out=h)
-        out[:, t, :hidden] = h
-        out[:, t, hidden:] = c
-    arena.release("lstm.")
-    _engine.emit_sequence("lstm_sequence", out)
-    return Tensor._make(out, (x_proj, h0, c0, weight_hh, bias_hh), "lstm_sequence", None)
-
-
-def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bias_hh: Tensor) -> Tensor:
-    """Scan a whole LSTM layer as ONE tape node.
-
-    ``x_proj`` is (B, L, 4H); returns (B, L, 2H) with hidden states in
-    ``[..., :H]`` and cell states in ``[..., H:]`` (both needed so the
-    final ``(h, c)`` tuple stays differentiable).  Inside
-    ``inference_mode()`` a tape-free branch that retains no intermediates
-    is taken instead.
-    """
-    if _engine._INFERENCE_MODE:
-        return _lstm_sequence_inference(x_proj, h0, c0, weight_hh, bias_hh)
-    batch, length, four_h = x_proj.shape
-    hidden = four_h // 4
-    w_hh = weight_hh.data
-    b_hh = bias_hh.data
-    xp = x_proj.data
-    out = np.empty((batch, length, 2 * hidden), dtype=xp.dtype)
-    i_all = np.empty((length, batch, hidden), dtype=xp.dtype)
-    f_all = np.empty_like(i_all)
-    g_all = np.empty_like(i_all)
-    o_all = np.empty_like(i_all)
-    tc_all = np.empty_like(i_all)
-    h_all = np.empty((length + 1, batch, hidden), dtype=xp.dtype)
-    c_all = np.empty((length + 1, batch, hidden), dtype=xp.dtype)
-    h_all[0] = h0.data
-    c_all[0] = c0.data
-    h, c = h_all[0], c_all[0]
-    for t in range(length):
-        gates = xp[:, t] + h @ w_hh + b_hh
-        i = sp_special.expit(gates[:, :hidden])
-        f = sp_special.expit(gates[:, hidden : 2 * hidden])
-        g = np.tanh(gates[:, 2 * hidden : 3 * hidden])
-        o = sp_special.expit(gates[:, 3 * hidden :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        i_all[t], f_all[t], g_all[t], o_all[t], tc_all[t] = i, f, g, o, tc
-        h_all[t + 1], c_all[t + 1] = h, c
-        out[:, t, :hidden] = h
-        out[:, t, hidden:] = c
+        # c = f * c_prev + i * g;  h = o * tanh(c)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=tc)
+        c += tc
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+    out = hc_all[1:].transpose(2, 0, 1, 3).reshape(batch, length, 2 * hidden)
     _engine.emit_sequence("lstm_sequence", out)
 
     def backward(grad: np.ndarray) -> None:
@@ -689,12 +613,12 @@ def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bia
         dh_next = np.zeros((batch, hidden), dtype=grad.dtype)
         dc_next = np.zeros((batch, hidden), dtype=grad.dtype)
         for t in range(length - 1, -1, -1):
-            i, f, g, o, tc = i_all[t], f_all[t], g_all[t], o_all[t], tc_all[t]
+            (i, f, g, o), tc, c_prev = gates_all[t], tc_all[t], hc_all[t, 1]
             dh = grad[:, t, :hidden] + dh_next
             dc_new = dh * o * (1.0 - tc * tc) + grad[:, t, hidden:] + dc_next
             dgates = dgates_all[t]
             dgates[:, :hidden] = dc_new * g * i * (1.0 - i)
-            dgates[:, hidden : 2 * hidden] = dc_new * c_all[t] * f * (1.0 - f)
+            dgates[:, hidden : 2 * hidden] = dc_new * c_prev * f * (1.0 - f)
             dgates[:, 2 * hidden : 3 * hidden] = dc_new * i * (1.0 - g * g)
             dgates[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
             dc_next = dc_new * f
@@ -707,7 +631,7 @@ def lstm_sequence(x_proj: Tensor, h0: Tensor, c0: Tensor, weight_hh: Tensor, bia
             c0._accumulate(dc_next)
         if weight_hh.requires_grad:
             weight_hh._accumulate(
-                np.einsum("tbh,tbk->hk", h_all[:length], dgates_all, optimize=True)
+                np.einsum("tbh,tbk->hk", hc_all[:length, 0], dgates_all, optimize=True)
             )
         if bias_hh.requires_grad:
             bias_hh._accumulate(dgates_all.sum(axis=(0, 1)))

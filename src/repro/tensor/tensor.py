@@ -18,9 +18,9 @@ Arrayable = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 _GRAD_ENABLED = True
 
-# Inference mode is strictly stronger than no_grad(): gradients are disabled
-# AND the fused kernels dispatch to tape-free branches that recycle scratch
-# buffers and skip saving per-timestep activations (see functional.py).
+# Inference mode is no_grad() plus an ownership boundary: the outermost
+# exit releases every arena checkout.  No kernel reads this flag — each op
+# has one code path for every mode.
 _INFERENCE_MODE = False
 
 # The dtype every Tensor is stored as.  float64 is the training contract
@@ -126,21 +126,20 @@ def no_grad():
 
 
 def is_inference_mode() -> bool:
-    """Whether the tape-free inference fast path is active."""
+    """Whether an :func:`inference_mode` block is open."""
     return _INFERENCE_MODE
 
 
 @contextlib.contextmanager
 def inference_mode():
-    """Context manager for the tape-free inference fast path.
+    """Context manager for tape-free forecasting.
 
-    Strictly stronger than :func:`no_grad`: gradient recording is disabled
+    Gradient recording is disabled exactly as under :func:`no_grad`
     (``Tensor._make`` records zero tape nodes — counter-asserted by
-    :func:`tape_node_count`) *and* the fused GRU/LSTM/attention kernels take
-    branches that neither save per-timestep activations nor allocate fresh
-    scratch each step (see :mod:`repro.tensor.arena`).  Nests freely with
-    itself and with :func:`no_grad`; the previous state is restored on exit.
-    Tensors produced inside must never be used in a later ``backward()``.
+    :func:`tape_node_count`); the kernels are the same ones training runs.
+    Nests freely with itself and with :func:`no_grad`; the previous state
+    is restored on exit.  Tensors produced inside must never be used in a
+    later ``backward()``.
 
     The *outermost* exit is an ownership boundary: every arena checkout is
     released, so an array that leaked out of the block is flagged as a

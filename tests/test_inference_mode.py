@@ -1,10 +1,10 @@
 """Tier-1 gates for the tape-free inference fast path.
 
-Covers the contracts docs/performance.md documents:
+Covers the contracts docs/performance.md documents (agreement between
+the execution modes is tests/test_mode_matrix.py's job):
 
 - ``inference_mode`` / ``no_grad`` nesting semantics and restoration,
 - zero tape nodes recorded inside ``inference_mode`` (counter-asserted),
-- inference scan kernels agree with the taped fused kernels,
 - arena / plan-cache reuse and invalidation on shape change,
 - ``compute_dtype`` + ``Module.to_dtype`` float32 forecasts agree with
   float64 within the documented tolerance,
@@ -136,56 +136,6 @@ class TestZeroTapeNodes:
 
 
 @pytest.mark.inference
-class TestInferenceKernelParity:
-    def test_gru_scan_matches_taped_kernel(self):
-        cell = GRUCell(5, 7, rng=np.random.default_rng(3))
-        x = Tensor(RNG.normal(size=(3, 9, 5)))
-        with F.fused_ops(True):
-            ref, ref_h = cell(x)
-            with inference_mode():
-                fast, fast_h = cell(x)
-        np.testing.assert_allclose(fast.data, ref.data, atol=1e-12)
-        np.testing.assert_allclose(fast_h.data, ref_h.data, atol=1e-12)
-
-    def test_lstm_scan_matches_taped_kernel(self):
-        cell = LSTMCell(5, 7, rng=np.random.default_rng(4))
-        x = Tensor(RNG.normal(size=(3, 9, 5)))
-        with F.fused_ops(True):
-            ref, (ref_h, ref_c) = cell(x)
-            with inference_mode():
-                fast, (fast_h, fast_c) = cell(x)
-        np.testing.assert_allclose(fast.data, ref.data, atol=1e-12)
-        np.testing.assert_allclose(fast_h.data, ref_h.data, atol=1e-12)
-        np.testing.assert_allclose(fast_c.data, ref_c.data, atol=1e-12)
-
-    def test_attention_zoo_matches_taped_path(self):
-        from repro.nn import attention as A
-
-        q = Tensor(RNG.normal(size=(2, 2, 24, 4)))
-        k = Tensor(RNG.normal(size=(2, 2, 24, 4)))
-        v = Tensor(RNG.normal(size=(2, 2, 24, 4)))
-        mechanisms = [
-            A.AutoCorrelation(),
-            A.SlidingWindowAttention(window=4),
-            A.GlobalWindowAttention(window=8, n_global=2),
-        ]
-        for mech in mechanisms:
-            ref = mech(q, k, v).data
-            with inference_mode():
-                fast = mech(q, k, v).data
-            np.testing.assert_allclose(fast, ref, atol=1e-12, err_msg=type(mech).__name__)
-
-    def test_input_repr_weights_match(self):
-        from repro.core.input_repr import multivariate_correlation_weights
-
-        x = RNG.normal(size=(2, 16, 3))
-        ref = multivariate_correlation_weights(x)
-        with inference_mode():
-            fast = multivariate_correlation_weights(x).copy()  # arena-backed
-        np.testing.assert_allclose(fast, ref, atol=1e-12)
-
-
-@pytest.mark.inference
 class TestBufferAndPlanReuse:
     def test_arena_reuses_matching_geometry(self):
         arena = get_arena()
@@ -206,17 +156,6 @@ class TestBufferAndPlanReuse:
         b = arena.get("test.dtype", (4, 5), np.float32)
         assert a is not b
         assert b.dtype == np.float32
-
-    def test_scan_reuses_buffers_across_calls(self):
-        cell = GRUCell(5, 7, rng=np.random.default_rng(5))
-        x = Tensor(RNG.normal(size=(3, 9, 5)))
-        arena = get_arena()
-        with F.fused_ops(True), inference_mode():
-            cell(x)  # may allocate slots
-            hits_before, misses_before = arena.hits, arena.misses
-            cell(x)
-            assert arena.misses == misses_before, "second call must not reallocate"
-            assert arena.hits > hits_before
 
     def test_plan_cache_invalidates_on_shape_change(self):
         from repro.nn.attention import causal_mask

@@ -1,10 +1,9 @@
 """The engine's single observer slot and the one profiler.
 
-- **kernel visibility** — every fused / tape-free kernel output passes
+- **kernel visibility** — every fused kernel output passes
   ``Tensor._make``, so under ``inference_mode`` the profiler names the
-  GRU and LSTM scans and the AutoCorrelation aggregation; a seeded
-  mutation (a kernel patched back to ``return Tensor(out)``) must make
-  the check fail;
+  GRU and LSTM scans; a seeded mutation (a scan patched to
+  ``return Tensor(out)``) must make the check fail;
 - **composition** — a strict sanitizer, the alias guard and the profiler
   installed together each see every op exactly once, and leaving them in
   any order (also by exception) empties the slot;
@@ -27,7 +26,6 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.alias import alias_guard
-from repro.nn import attention as attention_mod
 from repro.nn.rnn import LSTM
 from repro.perf import op_profile
 from repro.perf.bench_inference import _model_and_batch
@@ -56,7 +54,6 @@ def _bare_lstm():
 KERNEL_CASES = {
     "conformer": ("gru_sequence", "_rnn.cells."),
     "gru": ("gru_sequence", "rnn.cells."),
-    "autoformer": ("autocorrelation", "mechanism"),
     "lstm": ("lstm_sequence", "cells."),
 }
 
@@ -91,22 +88,19 @@ class TestKernelVisibility:
 def _mutant(owner, name: str, emit_line: str):
     """``owner.name`` recompiled with its emit line replaced by
     ``return Tensor(out)``: a kernel whose output skips ``Tensor._make``."""
-    static = inspect.getattr_static(owner, name)
-    func = static.__func__ if isinstance(static, staticmethod) else static
+    func = getattr(owner, name)
     source = textwrap.dedent(inspect.getsource(func))
     assert emit_line in source, "kernel source changed; update the seeded mutation"
     namespace = dict(func.__globals__)
     exec(compile(source.replace(emit_line, "return Tensor(out)"), f"<mutant {name}>", "exec"), namespace)
-    return namespace[name]  # keeps its @staticmethod decorator, if any
+    return namespace[name]
 
 
 MUTATIONS = {
-    "gru": (F, "_gru_sequence_inference",
-            'return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", None)'),
-    "lstm": (F, "_lstm_sequence_inference",
-             'return Tensor._make(out, (x_proj, h0, c0, weight_hh, bias_hh), "lstm_sequence", None)'),
-    "autoformer": (attention_mod.AutoCorrelation, "_aggregate_inference",
-                   'return Tensor._make(out, (q, k, v), "autocorrelation", None)'),
+    "gru": (F, "gru_sequence",
+            'return Tensor._make(out, (x_proj, h0, weight_hh, bias_hh), "gru_sequence", backward)'),
+    "lstm": (F, "lstm_sequence",
+             'return Tensor._make(out, (x_proj, h0, c0, weight_hh, bias_hh), "lstm_sequence", backward)'),
 }
 
 
